@@ -479,7 +479,13 @@ def _run_perf(args) -> int:
     spec = _build_session_spec(args)
     if isinstance(spec, int):
         return spec
-    spec = dataclasses.replace(spec, profile=ProfileConfig())
+    # profile the configuration a user runs: untraced, unless the Chrome
+    # export below needs the run's trace bus
+    spec = dataclasses.replace(
+        spec,
+        profile=ProfileConfig(),
+        trace=spec.trace if args.trace_out else None,
+    )
     result = spec.run()
     profile = result.profile
     assert profile is not None and not isinstance(profile, dict)

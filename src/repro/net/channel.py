@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.linkfault import LinkFault
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import NO_LOSS, LossModel
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -17,7 +17,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
 
-@dataclass
+def draws_rng(
+    latency: LatencyModel, loss: LossModel, fault: Optional[LinkFault]
+) -> bool:
+    """Whether a channel with these models can draw from its generator."""
+    return latency.draws or loss.draws or fault is not None
+
+
+@dataclass(slots=True)
 class ChannelStats:
     """Per-channel delivery accounting."""
 
@@ -45,7 +52,17 @@ class Channel:
     negligible — the paper's "reliable high-speed communication like 10 Gbps
     Ethernet".  Delivery order is FIFO for equal sampled latencies; jittered
     latencies may reorder, as real UDP streams do.
+
+    ``rng`` feeds the loss and latency models and the link fault.  It may
+    be None when none of them draws (:func:`draws_rng`); a channel whose
+    models draw and that is given no generator falls back to
+    ``default_rng(0)``.
     """
+
+    __slots__ = (
+        "env", "src", "dst", "latency", "loss", "fault", "bandwidth",
+        "rng", "stats", "_link_free_at",
+    )
 
     def __init__(
         self,
@@ -64,11 +81,13 @@ class Channel:
         self.src = src
         self.dst = dst
         self.latency = latency if latency is not None else ConstantLatency(1.0)
-        self.loss = loss if loss is not None else NoLoss()
+        self.loss = loss if loss is not None else NO_LOSS
         #: optional link fault (duplicate/reorder/sever) on top of ``loss``
         self.fault = fault
         self.bandwidth = bandwidth_bytes_per_ms
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None and draws_rng(self.latency, self.loss, fault):
+            rng = np.random.default_rng(0)
+        self.rng = rng
         self.stats = ChannelStats()
         #: next time the link is free to begin serializing (bandwidth mode)
         self._link_free_at = 0.0

@@ -15,6 +15,12 @@ import numpy as np
 class LatencyModel(ABC):
     """Draws a one-way delay per message."""
 
+    __slots__ = ()
+
+    #: whether :meth:`sample` may consume the channel's generator (see
+    #: :attr:`repro.net.loss.LossModel.draws`)
+    draws = True
+
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> float:
         """Return a non-negative delay in milliseconds."""
@@ -37,6 +43,9 @@ class LatencyModel(ABC):
 
 class ConstantLatency(LatencyModel):
     """Fixed delay δ — the paper's evaluation regime."""
+
+    __slots__ = ("delay",)
+    draws = False
 
     def __init__(self, delay: float) -> None:
         if delay < 0:

@@ -15,6 +15,11 @@ import numpy as np
 class LossModel(ABC):
     """Per-message drop decision (stateful models keep burst state)."""
 
+    #: whether :meth:`drops` may consume the channel's generator.  The
+    #: overlay opens a channel's named RNG stream only when one of its
+    #: models draws; subclasses that never draw may declare ``False``.
+    draws = True
+
     @abstractmethod
     def drops(self, rng: np.random.Generator) -> bool:
         """True if the next message on this channel is lost."""
@@ -34,6 +39,8 @@ class LossModel(ABC):
 
 class NoLoss(LossModel):
     """Reliable channel — the headline figures' regime (10 Gbps Ethernet)."""
+
+    draws = False
 
     def drops(self, rng: np.random.Generator) -> bool:
         return False
@@ -114,3 +121,8 @@ class GilbertElliottLoss(LossModel):
             f"GilbertElliottLoss(p_gb={self.p_gb}, p_bg={self.p_bg}, "
             f"loss_good={self.loss_good}, loss_bad={self.loss_bad})"
         )
+
+
+#: the default loss of every channel without a loss model; ``NoLoss`` is
+#: stateless, so one instance serves them all
+NO_LOSS = NoLoss()

@@ -8,10 +8,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.net.channel import Channel
+import numpy as np
+
+from repro.net.channel import Channel, draws_rng
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.linkfault import LinkFault
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import NO_LOSS, LossModel
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.sim.events import AnyOf
@@ -309,8 +311,11 @@ class Overlay:
 
     Channel parameters may be customized per (src, dst) pair via
     ``channel_factory``; by default every channel shares the overlay's
-    ``default_latency`` / ``default_loss`` with an independent RNG stream
-    per directed pair.
+    ``default_latency`` / ``default_loss``.  A channel gets its own named
+    RNG stream ``channel/{src}->{dst}`` only when its loss model, latency
+    model or link fault can draw from it: streams are seeded from
+    ``(root_seed, crc32(name))``, not from creation order, so skipping the
+    ones nobody draws from leaves every other draw unchanged.
     """
 
     def __init__(
@@ -332,7 +337,8 @@ class Overlay:
         #: when given, called once per (src, dst) pair at channel creation —
         #: lets sessions model heterogeneous per-link delays
         self.latency_factory = latency_factory
-        self.default_loss_factory = default_loss_factory or NoLoss
+        # NoLoss is stateless, so clean channels share one instance
+        self.default_loss_factory = default_loss_factory or (lambda: NO_LOSS)
         #: extra loss applied to non-media ("control") messages only, one
         #: stateful model per directed pair — lets experiments stress the
         #: coordination plane while the data plane stays clean
@@ -346,7 +352,10 @@ class Overlay:
         self.traffic = TrafficStats()
         #: optional per-pair overrides installed with configure_channel()
         self._overrides: Dict[Tuple[str, str], dict] = {}
-        self._control_loss: Dict[Tuple[str, str], LossModel] = {}
+        #: per directed pair: its control-loss model and ``ctrl-loss`` stream
+        self._control_loss: Dict[
+            Tuple[str, str], Tuple[LossModel, np.random.Generator]
+        ] = {}
         #: directed links currently cut (partitions, one-way failures)
         self._severed: set[Tuple[str, str]] = set()
         #: wire ids: one per physical send, shared by link-level duplicates
@@ -400,14 +409,19 @@ class Overlay:
             fault = override.get("fault")
             if fault is None and self.link_fault_factory is not None:
                 fault = self.link_fault_factory()
+            latency = override.get("latency") or default_latency
+            loss = override.get("loss") or self.default_loss_factory()
+            rng = None
+            if draws_rng(latency, loss, fault):
+                rng = self.streams.get(f"channel/{src}->{dst}")
             ch = Channel(
                 self.env,
                 self.nodes[src],
                 self.nodes[dst],
-                latency=override.get("latency") or default_latency,
-                loss=override.get("loss") or self.default_loss_factory(),
+                latency=latency,
+                loss=loss,
                 bandwidth_bytes_per_ms=override.get("bandwidth") or self.bandwidth,
-                rng=self.streams.get(f"channel/{src}->{dst}"),
+                rng=rng,
                 fault=fault,
             )
             self.channels[key] = ch
@@ -448,11 +462,14 @@ class Overlay:
         if self.control_loss_factory is None:
             return False
         key = (src, dst)
-        model = self._control_loss.get(key)
-        if model is None:
-            model = self.control_loss_factory()
-            self._control_loss[key] = model
-        return model.drops(self.streams.get(f"ctrl-loss/{src}->{dst}"))
+        entry = self._control_loss.get(key)
+        if entry is None:
+            entry = self._control_loss[key] = (
+                self.control_loss_factory(),
+                self.streams.get(f"ctrl-loss/{src}->{dst}"),
+            )
+        model, rng = entry
+        return model.drops(rng)
 
     def send(
         self,

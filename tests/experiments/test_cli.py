@@ -229,6 +229,25 @@ def test_perf_subcommand_profiles_a_run(tmp_path, capsys):
     assert counters == {"heap depth", "events processed"}
 
 
+def test_perf_subcommand_profiles_the_untraced_run(tmp_path, capsys):
+    """Without --trace-out, perf profiles the configuration a user runs:
+    no trace bus, so no tracing subsystem in the profile."""
+    import json
+
+    base = ["perf", "--protocol", "tcop", "--quick", "--n", "12", "--H", "4"]
+    untraced, traced = tmp_path / "untraced.json", tmp_path / "traced.json"
+    assert main(base + ["--profile-out", str(untraced)]) == 0
+    assert main(
+        base + [
+            "--profile-out", str(traced),
+            "--trace-out", str(tmp_path / "trace.json"),
+        ]
+    ) == 0
+    capsys.readouterr()
+    assert "tracing" not in json.loads(untraced.read_text())["subsystems"]
+    assert "tracing" in json.loads(traced.read_text())["subsystems"]
+
+
 def test_perf_subcommand_default_output_name(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main(["perf", "--protocol", "dcop", "--quick", "--n", "8", "--H", "4"])

@@ -8,18 +8,13 @@ cost model: events processed, peak heap depth and cancelled-event waste
 unless explicitly gated via ``regress --gate-scalar``).  This is the
 baseline any future kernel-speed work (see ROADMAP) must move.
 
-Two companion matrices cover the PR-8 kernel overhaul:
-
-* ``test_bench_kernel_batched_media`` — the batched media plane
-  (``SessionSpec.media_batch``) against the per-packet plane on
-  media-dominant topologies, recording simulated-time throughput
-  (``sim_ms_per_wall_s``) and its batched/unbatched speedup.  Batching
-  collapses each per-slot subsequence into one delivery event, so the
-  gain scales with packets-per-stream; deeply divided overlays (DCoP at
-  large H) see none, a single-source firehose sees several-fold.
-* ``test_bench_kernel_scheduler_matrix`` — heap vs calendar scheduler
-  on the largest cell.  Identical trajectories by construction (the
-  equivalence suite pins that); this records the relative wall cost.
+A companion matrix, ``test_bench_kernel_batched_media``, pits the
+batched media plane (``SessionSpec.media_batch``) against the per-packet
+plane on media-dominant topologies, recording simulated-time throughput
+(``sim_ms_per_wall_s``) and its batched/unbatched speedup.  Batching
+collapses each per-slot subsequence into one delivery event, so the
+gain scales with packets-per-stream; deeply divided overlays (DCoP at
+large H) see none, a single-source firehose sees several-fold.
 """
 
 import time
@@ -199,50 +194,6 @@ def test_bench_kernel_batched_media(benchmark, bench_scalars):
         batched.profile.events_processed < plain.profile.events_processed
         for *_cell, plain, batched in results
     )
-
-
-# ----------------------------------------------------------------------
-# scheduler matrix
-# ----------------------------------------------------------------------
-def _run_sched_cell(scheduler: str):
-    spec = SessionSpec(
-        config=ProtocolConfig(
-            n=200, H=60, fault_margin=1, seed=0, content_packets=400
-        ),
-        protocol=ProtocolSpec("dcop", {}),
-        profile=ProfileConfig(),
-        scheduler=scheduler,
-    )
-    return spec.run()
-
-
-def test_bench_kernel_scheduler_matrix(benchmark, bench_scalars):
-    results = benchmark.pedantic(
-        lambda: [(name, _run_sched_cell(name)) for name in ("heap", "calendar")],
-        rounds=1,
-        iterations=1,
-    )
-
-    print()
-    for name, result in results:
-        profile = result.profile
-        print(
-            f"{name:>10}: {profile.events_processed} events, "
-            f"{profile.events_per_wall_s:,.0f} ev/wall-s, "
-            f"heap peak {profile.heap_peak}"
-        )
-        bench_scalars[f"events_{name}"] = profile.events_processed
-        bench_scalars[f"events_per_wall_s_{name}"] = round(
-            profile.events_per_wall_s, 1
-        )
-
-    # identical trajectories — the deterministic counters must agree
-    (_, heap), (_, calendar) = results
-    assert (
-        heap.profile.events_processed == calendar.profile.events_processed
-    )
-    assert heap.profile.heap_peak == calendar.profile.heap_peak
-    assert heap.summary() == calendar.summary()
 
 
 # ----------------------------------------------------------------------

@@ -24,14 +24,7 @@ kernel and unit-tested in isolation.
 from repro.sim.engine import Environment, SimHooks, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, Timer, ConditionValue
 from repro.sim.process import Interrupt, Process
-from repro.sim.sched import (
-    CalendarQueueScheduler,
-    HeapScheduler,
-    Scheduler,
-    available_schedulers,
-    build_scheduler,
-    register_scheduler,
-)
+from repro.sim.sched import HeapScheduler
 from repro.sim.resources import (
     Preempted,
     PreemptiveResource,
@@ -45,7 +38,6 @@ from repro.sim.rng import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueueScheduler",
     "ConditionValue",
     "Environment",
     "Event",
@@ -61,13 +53,9 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "Scheduler",
     "SimHooks",
     "StopSimulation",
     "Store",
     "Timeout",
     "Timer",
-    "available_schedulers",
-    "build_scheduler",
-    "register_scheduler",
 ]

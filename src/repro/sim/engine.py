@@ -1,20 +1,13 @@
-"""The simulation environment: clock, pluggable scheduler, and run loop."""
+"""The simulation environment: clock, event queue, and run loop."""
 
 from __future__ import annotations
 
-import os
-import warnings
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
 from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout, Timer
 from repro.sim.process import Process
-from repro.sim.sched import Scheduler, build_scheduler
-
-#: Environment variable consulted when no scheduler is passed explicitly —
-#: lets a whole test run exercise an alternative scheduler without code
-#: changes (CI runs tier-1 under ``REPRO_SCHEDULER=calendar``).
-SCHEDULER_ENV_VAR = "REPRO_SCHEDULER"
+from repro.sim.sched import HeapScheduler
 
 #: Fired timers are recycled through a bounded free list; past this size
 #: they are simply dropped for the garbage collector.
@@ -69,71 +62,18 @@ class Environment:
     processing; the unit is whatever the model chooses (this reproduction
     uses milliseconds throughout).
 
-    ``scheduler`` selects the pending-event container: a
-    :class:`~repro.sim.sched.Scheduler` instance, a registered name
-    (``"heap"``, ``"calendar"``), or ``None`` to consult the
-    ``REPRO_SCHEDULER`` environment variable and fall back to the binary
-    heap.  All schedulers pop in the same ``(time, priority, eid)`` total
-    order, so the choice never changes a trajectory.
+    Pending events live in a :class:`~repro.sim.sched.HeapScheduler`,
+    popped in ``(time, priority, eid)`` order.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Union[None, str, Scheduler] = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = initial_time
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
-        if isinstance(scheduler, str):
-            scheduler = build_scheduler(scheduler)
-        self._sched: Scheduler = scheduler
+        self._sched = HeapScheduler()
         self._eid = count()
         self._active_process: Optional[Process] = None
         #: instrumentation facade — always present; see :class:`SimHooks`
         self.hooks = SimHooks()
         self._timer_pool: list[Timer] = []
-
-    # ------------------------------------------------------------------
-    # deprecated attribute shims (pre-hooks API)
-    # ------------------------------------------------------------------
-    @property
-    def tracer(self):
-        """Deprecated alias for ``env.hooks.tracer``."""
-        warnings.warn(
-            "Environment.tracer is deprecated; use env.hooks.tracer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hooks.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        warnings.warn(
-            "Environment.tracer is deprecated; use env.hooks.tracer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.hooks.tracer = value
-
-    @property
-    def profiler(self):
-        """Deprecated alias for ``env.hooks.profiler``."""
-        warnings.warn(
-            "Environment.profiler is deprecated; use env.hooks.profiler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hooks.profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        warnings.warn(
-            "Environment.profiler is deprecated; use env.hooks.profiler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.hooks.profiler = value
 
     # ------------------------------------------------------------------
     # inspection
@@ -149,8 +89,8 @@ class Environment:
         return self._active_process
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The scheduler holding this environment's pending events."""
+    def scheduler(self) -> HeapScheduler:
+        """The event queue holding this environment's pending events."""
         return self._sched
 
     def peek(self) -> float:

@@ -1,41 +1,19 @@
-"""Pluggable event schedulers for the simulation kernel.
+"""The simulation kernel's event queue.
 
 The :class:`~repro.sim.engine.Environment` keeps its pending events in a
-:class:`Scheduler`.  Entries are ``(time, priority, eid, event)`` tuples —
-the same total order the kernel has always used — and any scheduler
-implementation must pop them in exactly that order, so the simulated
-trajectory (and therefore every trace, receipt, and audit verdict) is
-byte-identical across scheduler choices at equal seed.  That invariant is
-pinned by ``tests/streaming/test_scheduler_equivalence.py``.
-
-Two implementations ship:
-
-* :class:`HeapScheduler` — a single binary heap (``heapq``), the
-  historical default.  O(log n) push/pop over the whole event set.
-* :class:`CalendarQueueScheduler` — a calendar queue: events hash into
-  fixed-width time buckets (one small heap per bucket) and a lazy heap of
-  bucket keys tracks the earliest non-empty bucket.  With the bucket
-  width tuned to the protocol's δ round length, the events of one
-  flooding round cluster into a handful of buckets and each push/pop
-  works on a far smaller heap.  Because buckets partition the time axis
-  and each bucket orders entries by the full ``(time, priority, eid)``
-  tuple, pop order is identical to the global heap's.
-
-Schedulers are selected by name through the same name→factory registry
-pattern as latency/loss/detector models (see
-:func:`repro.streaming.spec.available_factories`); third parties register
-their own with :func:`register_scheduler`.
+:class:`HeapScheduler`: one binary heap (``heapq``) of
+``(time, priority, eid, event)`` entries, popped in that total order.
 
 Lazy cancellation: rather than removing an entry (O(n) in a heap), the
 kernel marks the event's ``_tombstone`` flag and the dispatch loop
-discards it when popped.  :meth:`Scheduler.pop` never filters — the
-engine owns tombstone handling so all schedulers stay trivially correct.
+discards it when popped.  :meth:`HeapScheduler.pop` never filters — the
+engine owns tombstone handling.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 #: A scheduled entry: (time, priority, eid, event).
 Entry = Tuple[float, int, int, object]
@@ -43,40 +21,8 @@ Entry = Tuple[float, int, int, object]
 _INF = float("inf")
 
 
-class Scheduler:
-    """Ordered container of pending simulation events.
-
-    Subclasses must pop entries in ascending ``(time, priority, eid)``
-    order — the kernel's total order — and may assume times pushed after
-    a pop are never earlier than the popped time (the simulation clock
-    only moves forward).
-    """
-
-    #: registry name (informational; set by the built-ins)
-    name: str = "abstract"
-
-    def push(self, entry: Entry) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Entry:
-        """Remove and return the least entry; raise IndexError if empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> float:
-        """Time of the least entry, or ``inf`` when empty."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} len={len(self)}>"
-
-
-class HeapScheduler(Scheduler):
-    """The classic single binary heap over all pending events."""
-
-    name = "heap"
+class HeapScheduler:
+    """Ordered container of pending simulation events: one binary heap."""
 
     __slots__ = ("_queue",)
 
@@ -87,113 +33,15 @@ class HeapScheduler(Scheduler):
         heappush(self._queue, entry)
 
     def pop(self) -> Entry:
+        """Remove and return the least entry; raise IndexError if empty."""
         return heappop(self._queue)
 
     def peek_time(self) -> float:
+        """Time of the least entry, or ``inf`` when empty."""
         return self._queue[0][0] if self._queue else _INF
 
     def __len__(self) -> int:
         return len(self._queue)
 
-
-class CalendarQueueScheduler(Scheduler):
-    """Bucketed (calendar-queue) scheduler tuned to δ-round clustering.
-
-    ``bucket_width`` is in simulated time units (milliseconds here); the
-    default matches the paper's default round length δ = 10 ms, and
-    sessions override it with their configured δ (see
-    ``StreamingSession``).  Entries land in bucket ``floor(t / width)``;
-    a lazy min-heap of bucket keys finds the earliest non-empty bucket,
-    discarding keys whose buckets have drained (a key is pushed only when
-    its bucket is created, so the key heap never holds duplicates).
-    """
-
-    name = "calendar"
-
-    __slots__ = ("bucket_width", "_buckets", "_bucket_keys", "_size")
-
-    def __init__(self, bucket_width: float = 10.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError(
-                f"bucket_width must be positive, got {bucket_width}"
-            )
-        self.bucket_width = float(bucket_width)
-        self._buckets: Dict[int, List[Entry]] = {}
-        self._bucket_keys: List[int] = []
-        self._size = 0
-
-    def push(self, entry: Entry) -> None:
-        key = int(entry[0] // self.bucket_width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = []
-            heappush(self._bucket_keys, key)
-        heappush(bucket, entry)
-        self._size += 1
-
-    def _min_bucket(self) -> Optional[List[Entry]]:
-        keys = self._bucket_keys
-        buckets = self._buckets
-        while keys:
-            bucket = buckets.get(keys[0])
-            if bucket:
-                return bucket
-            # Drained (or vacuously absent) bucket: retire the key.
-            key = heappop(keys)
-            if bucket is not None:
-                del buckets[key]
-        return None
-
-    def pop(self) -> Entry:
-        bucket = self._min_bucket()
-        if bucket is None:
-            raise IndexError("pop from an empty scheduler")
-        self._size -= 1
-        return heappop(bucket)
-
-    def peek_time(self) -> float:
-        bucket = self._min_bucket()
-        return bucket[0][0] if bucket is not None else _INF
-
-    def __len__(self) -> int:
-        return self._size
-
-
-# ----------------------------------------------------------------------
-# name → factory registry (the spec layer aliases this dict so
-# ``available_factories("scheduler")`` sees the same entries)
-# ----------------------------------------------------------------------
-SCHEDULERS: Dict[str, Callable[..., Scheduler]] = {}
-
-
-def register_scheduler(name: str, factory: Optional[Callable] = None):
-    """Register a scheduler factory under ``name`` (usable as decorator)."""
-
-    def install(fn: Callable[..., Scheduler]):
-        if name in SCHEDULERS:
-            raise ValueError(f"scheduler {name!r} is already registered")
-        SCHEDULERS[name] = fn
-        return fn
-
-    return install if factory is None else install(factory)
-
-
-def available_schedulers() -> List[str]:
-    """Sorted names of every registered scheduler."""
-    return sorted(SCHEDULERS)
-
-
-def build_scheduler(name: str, **params) -> Scheduler:
-    """Instantiate the scheduler registered under ``name``."""
-    try:
-        factory = SCHEDULERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduler {name!r}; "
-            f"available: {', '.join(available_schedulers())}"
-        ) from None
-    return factory(**params)
-
-
-register_scheduler("heap", HeapScheduler)
-register_scheduler("calendar", CalendarQueueScheduler)
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} len={len(self)}>"

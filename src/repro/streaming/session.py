@@ -1,40 +1,35 @@
 """Streaming session: builds the simulated system and collects results.
 
 Sessions are constructed from a declarative
-:class:`~repro.streaming.spec.SessionSpec` (via :meth:`SessionSpec.build`
-or :meth:`StreamingSession.from_spec`); the historical keyword-argument
-constructor survives as a deprecated shim that internally builds the same
-spec, so both paths are guaranteed to stay behaviorally identical.
+:class:`~repro.streaming.spec.SessionSpec`, via :meth:`SessionSpec.build`
+or :meth:`StreamingSession.from_spec`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.audit import AuditConfig, AuditReport, Auditor
+    from repro.obs.audit import AuditReport, Auditor
     from repro.obs.prof import ProfileReport, SimProfiler
     from repro.obs.spans import SpanBuilder, SpanReport
-    from repro.streaming.adaptive import RateAdaptationMonitor, RateAdaptationPolicy
+    from repro.streaming.adaptive import RateAdaptationMonitor
     from repro.streaming.health import HealthMonitor
-    from repro.streaming.repair import RepairMonitor, RepairPolicy
+    from repro.streaming.repair import RepairMonitor
     from repro.streaming.spec import SessionSpec
 
-from repro.core.base import CoordinationProtocol, ProtocolConfig
+from repro.core.base import ProtocolConfig
 from repro.media.content import MediaContent
-from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.loss import LossModel
+from repro.net.latency import ConstantLatency
 from repro.net.message import Message
-from repro.net.overlay import ControlPlane, Overlay, RetransmitPolicy
+from repro.net.overlay import ControlPlane, Overlay
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBus, TraceConfig
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.streaming.contents_peer import ContentsPeerAgent
-from repro.streaming.detector import DetectorPolicy, FailureDetector
-from repro.streaming.faults import ChurnPlan, FaultPlan
+from repro.streaming.detector import FailureDetector
 from repro.streaming.leaf_peer import LeafPeerAgent
 from repro.streaming.recoordination import ReCoordinator, data_seqs_of
 
@@ -217,120 +212,34 @@ class SessionResult:
 class StreamingSession:
     """One simulated multi-source streaming run.
 
-    Construct from a :class:`~repro.streaming.spec.SessionSpec` — either
-    ``spec.build()`` or :meth:`from_spec` — which captures every knob as
-    a picklable value.  The keyword constructor below is a deprecated
-    shim kept for one release: it emits a :class:`DeprecationWarning`,
-    internally builds the equivalent spec, and follows the identical
-    setup path, so the two APIs cannot drift apart.
-
-    Parameters
-    ----------
-    config:
-        Workload/protocol parameters.
-    protocol:
-        A :class:`CoordinationProtocol` strategy instance.
-    latency / loss_factory:
-        Channel models; defaults are the paper's regime — constant δ
-        latency, lossless.
-    buffer_capacity / playback:
-        Leaf-side playback modelling (off by default; the coordination
-        figures only need arrival counting).
+    Construct from a :class:`~repro.streaming.spec.SessionSpec` —
+    ``spec.build()``, :meth:`from_spec`, or ``StreamingSession(spec)`` —
+    which captures every knob as a picklable value.  ``swarm`` and
+    ``leaf_id`` attach the session to a shared swarm substrate (see
+    :meth:`for_swarm`).
     """
 
     def __init__(
-        self,
-        config: ProtocolConfig,
-        protocol: CoordinationProtocol,
-        latency: Optional[LatencyModel] = None,
-        loss_factory: Optional[Callable[[], LossModel]] = None,
-        buffer_capacity: float = float("inf"),
-        playback: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        repair_policy: Optional["RepairPolicy"] = None,
-        adaptation_policy: Optional["RateAdaptationPolicy"] = None,
-        leaf_receipt_rate: Optional[float] = None,
-        leaf_receive_buffer: float = 64.0,
-        peer_capacities: Optional[Dict[str, float]] = None,
-        control_loss_factory: Optional[Callable[[], LossModel]] = None,
-        retransmit_policy: Optional[RetransmitPolicy] = None,
-        detector_policy: Optional[DetectorPolicy] = None,
-        churn_plan: Optional[ChurnPlan] = None,
-        trace: Optional[TraceConfig] = None,
-        audit: Optional["AuditConfig"] = None,
-    ) -> None:
-        warnings.warn(
-            "constructing StreamingSession(...) from keyword arguments is "
-            "deprecated; build a repro.streaming.SessionSpec and call "
-            "spec.build() (or StreamingSession.from_spec(spec))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.streaming.spec import SessionSpec
-
-        self._setup(
-            SessionSpec.from_session_kwargs(
-                config,
-                protocol,
-                latency=latency,
-                loss_factory=loss_factory,
-                buffer_capacity=buffer_capacity,
-                playback=playback,
-                fault_plan=fault_plan,
-                repair_policy=repair_policy,
-                adaptation_policy=adaptation_policy,
-                leaf_receipt_rate=leaf_receipt_rate,
-                leaf_receive_buffer=leaf_receive_buffer,
-                peer_capacities=peer_capacities,
-                control_loss_factory=control_loss_factory,
-                retransmit_policy=retransmit_policy,
-                detector_policy=detector_policy,
-                churn_plan=churn_plan,
-                trace=trace,
-                audit=audit,
-            )
-        )
-
-    @classmethod
-    def from_spec(cls, spec: "SessionSpec") -> "StreamingSession":
-        """Build a session from a declarative spec (no deprecation)."""
-        session = object.__new__(cls)
-        session._setup(spec)
-        return session
-
-    @classmethod
-    def for_swarm(
-        cls, spec: "SessionSpec", swarm, leaf_id: str
-    ) -> "StreamingSession":
-        """Attach one leaf session to a shared swarm substrate.
-
-        The session reuses the swarm's environment, overlay, RNG streams,
-        content, and contents-peer hubs instead of creating its own; its
-        control traffic is tagged with ``leaf_id`` as the coordination
-        context so the hubs can route replies to this leaf's agents.
-        Per-session observability (auditors, spans, profiler, metrics) is
-        owned by the swarm, not the leaf.
-        """
-        session = object.__new__(cls)
-        session._setup(spec, swarm=swarm, leaf_id=leaf_id)
-        return session
-
-    def _setup(
         self,
         spec: "SessionSpec",
         swarm=None,
         leaf_id: Optional[str] = None,
     ) -> None:
-        """The one true constructor: materialize ``spec`` into a session."""
         from repro.streaming.spec import (
+            SessionSpec,
             resolve_detector_policy,
             resolve_latency,
             resolve_link_fault_factory,
             resolve_loss_factory,
             resolve_protocol,
-            resolve_scheduler,
         )
 
+        if not isinstance(spec, SessionSpec):
+            raise TypeError(
+                "StreamingSession takes a SessionSpec, not "
+                f"{type(spec).__name__}; build a SessionSpec(config=..., "
+                "protocol=..., ...) and call spec.build()"
+            )
         config = spec.config
         protocol = resolve_protocol(spec.protocol)
         latency = resolve_latency(spec.latency)
@@ -379,12 +288,7 @@ class StreamingSession:
             self.streams = swarm.streams
             self.trace_bus = swarm.trace_bus
         else:
-            # scheduler choice is a pure speed knob (identical
-            # trajectories); a calendar queue defaults its bucket width
-            # to this session's δ
-            self.env = Environment(
-                scheduler=resolve_scheduler(spec.scheduler, config.delta)
-            )
+            self.env = Environment()
             self.streams = RandomStreams(config.seed)
             # --- observability (opt-in; hooks no-op when tracer=None) ---
             self.trace_bus: Optional[TraceBus] = None
@@ -561,6 +465,26 @@ class StreamingSession:
             self.span_builder = SpanBuilder(spans)
             self.span_builder.bind(self.trace_bus, self)
             self.trace_bus.subscribe(self.span_builder.on_event)
+
+    @classmethod
+    def from_spec(cls, spec: "SessionSpec") -> "StreamingSession":
+        """Build a session from a declarative spec."""
+        return cls(spec)
+
+    @classmethod
+    def for_swarm(
+        cls, spec: "SessionSpec", swarm, leaf_id: str
+    ) -> "StreamingSession":
+        """Attach one leaf session to a shared swarm substrate.
+
+        The session reuses the swarm's environment, overlay, RNG streams,
+        content, and contents-peer hubs instead of creating its own; its
+        control traffic is tagged with ``leaf_id`` as the coordination
+        context so the hubs can route replies to this leaf's agents.
+        Per-session observability (auditors, spans, profiler, metrics) is
+        owned by the swarm, not the leaf.
+        """
+        return cls(spec, swarm=swarm, leaf_id=leaf_id)
 
     # ------------------------------------------------------------------
     # observability

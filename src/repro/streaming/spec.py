@@ -84,12 +84,6 @@ from repro.obs.audit import AuditConfig
 from repro.obs.prof import ProfileConfig
 from repro.obs.spans import SpanConfig
 from repro.obs.trace import TraceConfig
-from repro.sim.sched import (
-    SCHEDULERS as _SCHEDULER_REGISTRY,
-    Scheduler,
-    build_scheduler,
-    register_scheduler,
-)
 from repro.streaming.adaptive import RateAdaptationPolicy
 from repro.streaming.detector import DetectorPolicy
 from repro.streaming.faults import ChurnPlan, FaultPlan, PartitionPlan
@@ -105,7 +99,6 @@ __all__ = [
     "LinkFaultSpec",
     "LossSpec",
     "ProtocolSpec",
-    "SchedulerSpec",
     "SessionSpec",
     "available_factories",
     "register_detector",
@@ -113,13 +106,11 @@ __all__ = [
     "register_link_fault",
     "register_loss",
     "register_protocol",
-    "register_scheduler",
     "resolve_detector_policy",
     "resolve_latency",
     "resolve_link_fault_factory",
     "resolve_loss_factory",
     "resolve_protocol",
-    "resolve_scheduler",
 ]
 
 
@@ -132,10 +123,6 @@ _REGISTRIES: Dict[str, Dict[str, Callable[..., Any]]] = {
     "protocol": {},
     "link_fault": {},
     "detector": {},
-    # the kernel owns the canonical scheduler registry
-    # (repro.sim.sched.register_scheduler); aliasing the same dict here
-    # makes available_factories("scheduler") see every registration
-    "scheduler": _SCHEDULER_REGISTRY,
 }
 
 
@@ -413,25 +400,6 @@ class ProtocolSpec:
         return _get_factory("protocol", self.kind)(**dict(self.params))
 
 
-@dataclass(frozen=True)
-class SchedulerSpec:
-    """A registered event scheduler by name, e.g. ``SchedulerSpec(
-    "calendar", {"bucket_width": 5.0})``.
-
-    Selects the kernel's pending-event container (see
-    :mod:`repro.sim.sched`).  All schedulers pop in the same total order,
-    so the choice never changes a trajectory — it is purely a speed knob.
-    A ``"calendar"`` spec without an explicit ``bucket_width`` is tuned
-    to the session's δ at build time.
-    """
-
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def build(self) -> Scheduler:
-        return build_scheduler(self.kind, **dict(self.params))
-
-
 #: what the protocol/model fields of a :class:`SessionSpec` accept
 ProtocolLike = Union[
     ProtocolSpec, CoordinationProtocol, Callable[[], CoordinationProtocol]
@@ -440,7 +408,6 @@ LatencyLike = Union[LatencySpec, LatencyModel]
 LossLike = Union[LossSpec, Callable[[], LossModel]]
 LinkFaultLike = Union[LinkFaultSpec, Callable[[], LinkFault]]
 DetectorLike = Union[DetectorSpec, DetectorPolicy]
-SchedulerLike = Union[SchedulerSpec, str]
 
 
 def resolve_protocol(value: ProtocolLike) -> CoordinationProtocol:
@@ -508,30 +475,6 @@ def resolve_detector_policy(
     raise TypeError(
         f"cannot build a detector policy from {type(value).__name__}; "
         "pass a DetectorSpec or a DetectorPolicy instance"
-    )
-
-
-def resolve_scheduler(
-    value: Optional[SchedulerLike], delta: float
-) -> Optional[Scheduler]:
-    """Materialize the ``scheduler`` field of a spec.
-
-    ``None`` returns ``None`` — the environment then falls back to the
-    ``REPRO_SCHEDULER`` environment variable or the binary heap.  A
-    calendar queue without an explicit ``bucket_width`` gets the
-    session's δ, the width the δ-round event clustering is tuned to.
-    """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = SchedulerSpec(value)
-    if isinstance(value, SchedulerSpec):
-        if value.kind == "calendar" and "bucket_width" not in value.params:
-            return build_scheduler(value.kind, bucket_width=delta)
-        return value.build()
-    raise TypeError(
-        f"cannot build a scheduler from {type(value).__name__}; pass a "
-        "SchedulerSpec or a registered scheduler name"
     )
 
 
@@ -614,10 +557,10 @@ class SessionSpec:
     #: the instrumenting performance profiler (``True`` for defaults);
     #: passive — profiled runs follow byte-identical trajectories
     profile: Union[ProfileConfig, bool, None] = None
-    #: event scheduler (``"heap"``, ``"calendar"``, or a SchedulerSpec);
-    #: None follows the REPRO_SCHEDULER environment variable.  Purely a
-    #: speed knob — trajectories are identical across schedulers.
-    scheduler: Optional[SchedulerLike] = None
+    #: the event queue is always the binary heap; ``"heap"`` is accepted
+    #: (and anything else rejected) only because the repo benchmark pins
+    #: it.  The field goes at the next change to the benchmark.
+    scheduler: Optional[str] = None
     #: batched media plane: per-slot batch window in δ units (0 = off,
     #: per-packet delivery).  Batching preserves receipt/delivery
     #: semantics but is a *different* (coarser-grained) trajectory.
@@ -627,27 +570,12 @@ class SessionSpec:
     #: byte-identical trajectories (see :mod:`repro.obs.spans`)
     spans: Union[SpanConfig, bool, None] = None
 
-    #: legacy ``StreamingSession`` kwarg → spec field renames
-    _KWARG_ALIASES = {
-        "loss_factory": "loss",
-        "control_loss_factory": "control_loss",
-    }
-
-    @classmethod
-    def from_session_kwargs(
-        cls, config: ProtocolConfig, protocol: ProtocolLike, **session_kw
-    ) -> "SessionSpec":
-        """Build a spec from the legacy ``StreamingSession(...)`` kwargs.
-
-        ``loss_factory``/``control_loss_factory`` map onto the ``loss``/
-        ``control_loss`` fields; every other kwarg keeps its name.  Raw
-        model objects and callables are stored as-is, so the resulting
-        spec is only picklable when they are.
-        """
-        fields_kw = {
-            cls._KWARG_ALIASES.get(k, k): v for k, v in session_kw.items()
-        }
-        return cls(config=config, protocol=protocol, **fields_kw)
+    def __post_init__(self) -> None:
+        if self.scheduler not in (None, "heap"):
+            raise ValueError(
+                "scheduler must be None or 'heap' (the only event queue), "
+                f"got {self.scheduler!r}"
+            )
 
     # ------------------------------------------------------------------
     def build(self) -> "StreamingSession":

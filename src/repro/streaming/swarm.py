@@ -32,7 +32,7 @@ exactly this trade-off.
 Determinism: arrivals draw from the dedicated ``swarm/joins`` stream and
 retry jitter from ``swarm/backoff``; every other draw goes through the
 session machinery's existing named streams, so equal seeds give
-byte-identical trajectories under either scheduler.
+byte-identical trajectories.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.streaming.spec import (
     resolve_latency,
     resolve_link_fault_factory,
     resolve_loss_factory,
-    resolve_scheduler,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -445,9 +444,7 @@ class SwarmSession:
         from repro.streaming.spec import resolve_protocol
 
         self.protocol_name = resolve_protocol(template.protocol).name
-        self.env = Environment(
-            scheduler=resolve_scheduler(template.scheduler, config.delta)
-        )
+        self.env = Environment()
         self.streams = RandomStreams(config.seed)
         # --- observability --------------------------------------------
         audit = spec.audit

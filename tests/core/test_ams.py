@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import AMSCoordination, DCoP, ProtocolConfig
-from repro.streaming import FaultPlan, StreamingSession
+from repro.streaming import FaultPlan, SessionSpec
 
 
 def config(**kw):
@@ -23,13 +23,13 @@ def test_validation():
 
 
 def test_all_peers_active_in_one_round():
-    r = StreamingSession(config(), AMSCoordination()).run()
+    r = SessionSpec(config(), AMSCoordination()).run()
     assert r.all_active
     assert r.rounds == 1  # leaf contacts everyone directly
 
 
 def test_disjoint_shares_cover_content():
-    r = StreamingSession(config(), AMSCoordination()).run()
+    r = SessionSpec(config(), AMSCoordination()).run()
     assert r.delivery_ratio == 1.0
     assert r.receipt_rate == pytest.approx(1.0)  # margin 0: no parity
 
@@ -39,8 +39,8 @@ def test_quadratic_state_traffic():
     ≈ n(n-1) × (#periods) ≫ DCoP's total."""
     n = 12
     cfg = config(n=n)
-    ams = StreamingSession(cfg, AMSCoordination()).run()
-    dcop = StreamingSession(config(n=n), DCoP()).run()
+    ams = SessionSpec(cfg, AMSCoordination()).run()
+    dcop = SessionSpec(config(n=n), DCoP()).run()
     cbcast = ams.messages_by_kind["cbcast"]
     periods = cbcast / (n * (n - 1))
     assert periods >= 3  # several exchange rounds over the stream's life
@@ -49,7 +49,7 @@ def test_quadratic_state_traffic():
 
 def test_state_exchange_terminates():
     """The simulation drains: state loops stop once the group resolves."""
-    session = StreamingSession(config(), AMSCoordination())
+    session = SessionSpec(config(), AMSCoordination()).build()
     r = session.run()
     # quiescence well before the deadline backstop (3×duration + 40δ)
     assert r.elapsed < 3 * 300 + 400
@@ -57,9 +57,9 @@ def test_state_exchange_terminates():
 
 def test_takeover_recovers_crash_without_parity():
     cfg = config()
-    session = StreamingSession(
+    session = SessionSpec(
         cfg, AMSCoordination(), fault_plan=FaultPlan().crash("CP3", 100.0)
-    )
+    ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     # the adopted share re-sends a few packets the victim managed to send
@@ -70,9 +70,9 @@ def test_takeover_recovers_crash_without_parity():
 def test_takeover_is_single_successor():
     """Exactly one live peer adopts a victim's share (ring rule)."""
     cfg = config()
-    session = StreamingSession(
+    session = SessionSpec(
         cfg, AMSCoordination(), fault_plan=FaultPlan().crash("CP5", 100.0)
-    )
+    ).build()
     session.run()
     adopters = [
         pid
@@ -87,10 +87,10 @@ def test_no_parity_dcop_loses_what_ams_recovers():
     DCoP does not."""
     cfg = config()
     victim = "CP3"
-    ams = StreamingSession(
+    ams = SessionSpec(
         cfg, AMSCoordination(), fault_plan=FaultPlan().crash(victim, 100.0)
     ).run()
-    dcop = StreamingSession(
+    dcop = SessionSpec(
         config(), DCoP(), fault_plan=FaultPlan().crash(victim, 100.0)
     ).run()
     assert ams.delivery_ratio == 1.0
@@ -100,12 +100,12 @@ def test_no_parity_dcop_loses_what_ams_recovers():
 def test_multiple_crashes_recovered():
     cfg = config(n=10, content_packets=400)
     plan = FaultPlan().crash("CP2", 80.0).crash("CP7", 160.0)
-    r = StreamingSession(cfg, AMSCoordination(), fault_plan=plan).run()
+    r = SessionSpec(cfg, AMSCoordination(), fault_plan=plan).run()
     assert r.delivery_ratio == 1.0
 
 
 def test_deterministic_given_seed():
-    a = StreamingSession(config(), AMSCoordination()).run()
-    b = StreamingSession(config(), AMSCoordination()).run()
+    a = SessionSpec(config(), AMSCoordination()).run()
+    b = SessionSpec(config(), AMSCoordination()).run()
     assert a.messages_by_kind == b.messages_by_kind
     assert a.completed_at == b.completed_at

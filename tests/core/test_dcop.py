@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DCoP, ProtocolConfig
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def run(n, H, **kw):
@@ -12,7 +12,7 @@ def run(n, H, **kw):
     )
     defaults.update(kw)
     cfg = ProtocolConfig(n=n, H=H, **defaults)
-    return StreamingSession(cfg, DCoP()).run()
+    return SessionSpec(cfg, DCoP()).run()
 
 
 def test_all_peers_activate():
@@ -86,7 +86,7 @@ def test_views_monotone_and_final():
     cfg = ProtocolConfig(
         n=12, H=4, fault_margin=1, delta=10.0, content_packets=300, seed=3
     )
-    session = StreamingSession(cfg, DCoP())
+    session = SessionSpec(cfg, DCoP()).build()
     session.run()
     # after quiescence every active peer's view is consistent: it contains
     # itself and only existing peers
@@ -101,7 +101,7 @@ def test_redundant_parents_merge_streams():
     cfg = ProtocolConfig(
         n=20, H=3, fault_margin=1, delta=10.0, content_packets=300, seed=5
     )
-    session = StreamingSession(cfg, DCoP())
+    session = SessionSpec(cfg, DCoP()).build()
     session.run()
     stream_counts = [len(a.streams) for a in session.peers.values()]
     assert max(stream_counts) > 1
@@ -115,7 +115,7 @@ def test_data_packets_never_duplicated_to_leaf():
     cfg = ProtocolConfig(
         n=12, H=4, fault_margin=1, delta=10.0, content_packets=200, seed=7
     )
-    session = StreamingSession(cfg, DCoP())
+    session = SessionSpec(cfg, DCoP()).build()
     seen = Counter()
     original = session.leaf.node.on_deliver
 
@@ -143,7 +143,7 @@ def test_unsynchronized_when_run_cut_short():
     cfg = ProtocolConfig(
         n=40, H=2, fault_margin=1, delta=10.0, content_packets=300, seed=3
     )
-    session = StreamingSession(cfg, DCoP())
+    session = SessionSpec(cfg, DCoP()).build()
     r = session.run(until=15.0)  # only the first wave has fired
     assert not r.all_active
     assert r.rounds is None

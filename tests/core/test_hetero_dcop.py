@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DCoP, HeteroDCoP, ProtocolConfig
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def ladder(n, lo=0.05, hi=0.45):
@@ -31,8 +31,8 @@ def test_validation():
 def test_capacity_throttles_transmission():
     """A capacity far below the assigned rate stretches completion."""
     cfg = config(n=4, H=4, fault_margin=0, content_packets=200)
-    free = StreamingSession(cfg, DCoP()).run()
-    capped = StreamingSession(
+    free = SessionSpec(cfg, DCoP()).run()
+    capped = SessionSpec(
         cfg, DCoP(), peer_capacities={f"CP{i}": 0.05 for i in range(1, 5)}
     ).run()
     assert capped.completed_at > 2 * free.completed_at
@@ -41,8 +41,8 @@ def test_capacity_throttles_transmission():
 
 def test_uncapped_peers_unaffected():
     cfg = config(n=6, H=3, content_packets=200)
-    a = StreamingSession(cfg, DCoP()).run()
-    b = StreamingSession(cfg, DCoP(), peer_capacities={}).run()
+    a = SessionSpec(cfg, DCoP()).run()
+    b = SessionSpec(cfg, DCoP(), peer_capacities={}).run()
     assert a.completed_at == b.completed_at
 
 
@@ -51,8 +51,8 @@ def test_same_coordination_cost_as_dcop():
     rounds, same control packets."""
     caps = ladder(16)
     cfg = config()
-    d = StreamingSession(cfg, DCoP(), peer_capacities=caps).run()
-    h = StreamingSession(cfg, HeteroDCoP(caps), peer_capacities=caps).run()
+    d = SessionSpec(cfg, DCoP(), peer_capacities=caps).run()
+    h = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).run()
     assert h.rounds == d.rounds
     assert h.control_packets_total == d.control_packets_total
 
@@ -60,8 +60,8 @@ def test_same_coordination_cost_as_dcop():
 def test_weighted_division_beats_equal_under_capacity_limits():
     caps = ladder(16)
     cfg = config()
-    d = StreamingSession(cfg, DCoP(), peer_capacities=caps).run()
-    h = StreamingSession(cfg, HeteroDCoP(caps), peer_capacities=caps).run()
+    d = SessionSpec(cfg, DCoP(), peer_capacities=caps).run()
+    h = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).run()
     assert h.delivery_ratio == d.delivery_ratio == 1.0
     assert h.completed_at < d.completed_at
     # weighted division lands on the content timeline (+ coordination lag)
@@ -74,7 +74,7 @@ def test_full_coverage_with_weighted_divisions():
 
     caps = ladder(12)
     cfg = config(n=12, H=4, content_packets=200)
-    session = StreamingSession(cfg, HeteroDCoP(caps), peer_capacities=caps)
+    session = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).build()
     seen = Counter()
     original = session.leaf.node.on_deliver
 
@@ -93,7 +93,7 @@ def test_full_coverage_with_weighted_divisions():
 def test_fast_peers_carry_more():
     caps = ladder(10, lo=0.1, hi=1.0)
     cfg = config(n=10, H=10, content_packets=300)
-    session = StreamingSession(cfg, HeteroDCoP(caps), peer_capacities=caps)
+    session = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).build()
     session.run()
     sent = {
         pid: sum(st.sent_count for st in agent.streams)

@@ -17,7 +17,7 @@ from repro.core import (
     ScheduleBasedCoordination,
     TCoP,
 )
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 PROTOCOLS = [DCoP, TCoP, CentralizedCoordination, ScheduleBasedCoordination]
 
@@ -33,7 +33,7 @@ def run_random(protocol_cls, n, h_frac, margin, seed):
         content_packets=120,
         seed=seed,
     )
-    session = StreamingSession(cfg, protocol_cls())
+    session = SessionSpec(cfg, protocol_cls()).build()
     data_seen = Counter()
     original = session.leaf.node.on_deliver
 

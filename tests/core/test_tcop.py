@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DCoP, TCoP, ProtocolConfig
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def make_session(n, H, **kw):
@@ -12,7 +12,7 @@ def make_session(n, H, **kw):
     )
     defaults.update(kw)
     cfg = ProtocolConfig(n=n, H=H, **defaults)
-    return StreamingSession(cfg, TCoP())
+    return SessionSpec(cfg, TCoP()).build()
 
 
 def run(n, H, **kw):
@@ -43,7 +43,7 @@ def test_rounds_triple_dcop_for_same_coverage():
         cfg = ProtocolConfig(
             n=n, H=H, fault_margin=1, delta=10.0, content_packets=300, seed=3
         )
-        d = StreamingSession(cfg, DCoP()).run()
+        d = SessionSpec(cfg, DCoP()).run()
         assert t.rounds == 3 * d.rounds
 
 
@@ -76,7 +76,7 @@ def test_more_control_traffic_than_dcop():
     cfg = ProtocolConfig(
         n=30, H=10, fault_margin=1, delta=10.0, content_packets=300, seed=3
     )
-    d = StreamingSession(cfg, DCoP()).run()
+    d = SessionSpec(cfg, DCoP()).run()
     assert t.control_packets_total > d.control_packets_total
 
 
@@ -119,7 +119,7 @@ def test_receipt_rate_above_dcop_at_moderate_h():
     cfg = ProtocolConfig(
         n=n, H=H, fault_margin=1, delta=10.0, content_packets=400, seed=3
     )
-    d = StreamingSession(cfg, DCoP()).run()
+    d = SessionSpec(cfg, DCoP()).run()
     assert t.receipt_rate > d.receipt_rate
 
 
@@ -139,9 +139,9 @@ def test_lossy_channels_never_wedge_a_peer():
     cfg = ProtocolConfig(
         n=20, H=5, fault_margin=1, delta=10.0, content_packets=200, seed=3
     )
-    session = StreamingSession(
-        cfg, TCoP(), loss_factory=lambda: BernoulliLoss(0.25)
-    )
+    session = SessionSpec(
+        cfg, TCoP(), loss=lambda: BernoulliLoss(0.25)
+    ).build()
     session.run()
     for agent in session.peers.values():
         assert agent.active or agent.parent is None

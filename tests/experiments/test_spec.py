@@ -1,4 +1,4 @@
-"""SessionSpec: registries, pickling, the deprecation shim, detach()."""
+"""SessionSpec: registries, pickling, construction, detach()."""
 
 import pickle
 import warnings
@@ -147,20 +147,6 @@ def test_replace_and_with_seed_derive_new_frozen_specs():
         spec.playback = True
 
 
-def test_from_session_kwargs_maps_legacy_aliases():
-    factory = LossSpec("bernoulli", {"p": 0.1})
-    spec = SessionSpec.from_session_kwargs(
-        _small_config(),
-        DCoP,
-        loss_factory=factory,
-        control_loss_factory=factory,
-        playback=True,
-    )
-    assert spec.loss is factory
-    assert spec.control_loss is factory
-    assert spec.playback is True
-
-
 def test_describe_names_the_protocol():
     assert "tcop" in SessionSpec(
         config=_small_config(), protocol=ProtocolSpec("tcop")
@@ -171,23 +157,28 @@ def test_describe_names_the_protocol():
 
 
 # ----------------------------------------------------------------------
-# the deprecation shim
+# construction: a spec is the only way in
 # ----------------------------------------------------------------------
-def test_keyword_construction_warns_and_matches_spec_path():
-    config = _small_config()
-    with pytest.warns(DeprecationWarning, match="SessionSpec"):
-        legacy = StreamingSession(config, DCoP())
-    via_spec = SessionSpec(config=config, protocol=ProtocolSpec("dcop"))
-    assert _scalars(legacy.run()) == _scalars(via_spec.run())
+def test_constructor_rejects_anything_but_a_spec():
+    with pytest.raises(TypeError, match="build a SessionSpec"):
+        StreamingSession(_small_config(), DCoP())
 
 
-def test_keyword_construction_records_an_equivalent_spec():
-    config = _small_config()
-    with pytest.warns(DeprecationWarning):
-        session = StreamingSession(config, DCoP(), playback=True)
-    assert isinstance(session.spec, SessionSpec)
-    assert session.spec.config is config
-    assert session.spec.playback is True
+def test_spec_build_from_spec_and_constructor_agree():
+    spec = SessionSpec(config=_small_config(), protocol=ProtocolSpec("dcop"))
+    runs = [spec.build(), StreamingSession.from_spec(spec), StreamingSession(spec)]
+    assert all(session.spec is spec for session in runs)
+    first, *rest = [_scalars(session.run()) for session in runs]
+    assert all(scalars == first for scalars in rest)
+
+
+def test_scheduler_field_only_pins_the_heap():
+    with pytest.raises(ValueError, match="scheduler"):
+        SessionSpec(config=_small_config(), scheduler="calendar").build()
+    # the repo benchmark's pin: the binary heap, whose push/pop it wraps
+    session = SessionSpec(config=_small_config(), scheduler="heap").build()
+    assert callable(session.env.scheduler.push)
+    assert callable(session.env.scheduler.pop)
 
 
 def test_from_spec_does_not_warn():

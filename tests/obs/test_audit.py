@@ -102,8 +102,8 @@ class DoubleParentTCoP(TCoP):
             # claim the second parent too — exactly the multi-parent
             # defect the tree invariant forbids
             agent.parent = offer.sender
-            if agent.env.tracer is not None:
-                agent.env.tracer.emit(
+            if agent.env.hooks.tracer is not None:
+                agent.env.hooks.tracer.emit(
                     "peer.attach", agent.peer_id, parent=offer.sender
                 )
             agent.send_control(

@@ -19,7 +19,7 @@ from repro.streaming import (
     ChurnPlan,
     DetectorPolicy,
     FaultPlan,
-    StreamingSession,
+    SessionSpec,
 )
 
 
@@ -27,7 +27,7 @@ def build_plain(proto, seed):
     config = ProtocolConfig(
         n=14, H=5, fault_margin=1, content_packets=120, seed=seed
     )
-    return StreamingSession(config, proto(), trace=TraceConfig())
+    return SessionSpec(config, proto(), trace=TraceConfig()).build()
 
 
 def build_chaotic(proto, seed):
@@ -36,14 +36,14 @@ def build_chaotic(proto, seed):
         n=10, H=4, fault_margin=1, tau=1.0, delta=8.0,
         content_packets=150, seed=seed,
     )
-    probe = StreamingSession(config, proto())
+    probe = SessionSpec(config, proto()).build()
     victim = probe.leaf_select(config.H)[0]
     plan = FaultPlan()
     plan.crash(victim, 60.0)
-    return StreamingSession(
+    return SessionSpec(
         config,
         proto(),
-        control_loss_factory=lambda: BernoulliLoss(0.05),
+        control_loss=lambda: BernoulliLoss(0.05),
         fault_plan=plan,
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorPolicy(),
@@ -51,7 +51,7 @@ def build_chaotic(proto, seed):
             rate_per_delta=0.03, min_live=6, mean_downtime_deltas=6.0
         ),
         trace=TraceConfig(),
-    )
+    ).build()
 
 
 @pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])

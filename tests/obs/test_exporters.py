@@ -15,13 +15,13 @@ from repro.obs import (
     write_jsonl,
     write_run_summary,
 )
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 @pytest.fixture(scope="module")
 def traced_result():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    return StreamingSession(config, TCoP(), trace=TraceConfig()).run()
+    return SessionSpec(config, TCoP(), trace=TraceConfig()).run()
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_chrome_trace_closes_abandoned_waves():
 @pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
 def test_timeline_rows_equal_result_rounds(proto):
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(config, proto(), trace=TraceConfig()).run()
+    result = SessionSpec(config, proto(), trace=TraceConfig()).run()
     table = wave_timeline(result.trace)
     assert len(table.rows) == result.rounds
     rounds = [row[0] for row in table.rows]
@@ -123,7 +123,7 @@ def test_timeline_rows_equal_result_rounds(proto):
 def test_timeline_includes_zero_activation_rounds():
     """TCoP's offer/confirm rounds move control traffic, not activations."""
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(config, TCoP(), trace=TraceConfig()).run()
+    result = SessionSpec(config, TCoP(), trace=TraceConfig()).run()
     table = wave_timeline(result.trace)
     assert any(row[1] == 0 for row in table.rows)
 
@@ -166,7 +166,7 @@ def test_run_summary_bundles_result_trace_stats_and_series(
 
 def test_run_summary_without_trace_is_result_only():
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    result = StreamingSession(config, DCoP()).run()
+    result = SessionSpec(config, DCoP()).run()
     summary = run_summary(result)
     assert set(summary) == {"result"}
 
@@ -176,7 +176,7 @@ def test_run_summary_without_trace_is_result_only():
 # ----------------------------------------------------------------------
 def _golden_spec():
     from repro.obs.prof import ProfileConfig
-    from repro.streaming.spec import ProtocolSpec, SessionSpec
+    from repro.streaming.spec import ProtocolSpec
 
     return SessionSpec(
         config=ProtocolConfig(
@@ -208,7 +208,7 @@ def _golden_batched_spec():
     """A media-dominant cell where per-slot batches really form, traced
     with the media/msg firehose so the batch payloads (``off``, ``wait``,
     ``count``) land in the export."""
-    from repro.streaming.spec import ProtocolSpec, SessionSpec
+    from repro.streaming.spec import ProtocolSpec
 
     return SessionSpec(
         config=ProtocolConfig(
@@ -281,7 +281,7 @@ def test_chrome_profile_counter_tracks(traced_result):
     profiler's deterministic sample arrays."""
     from repro.obs import profile_counter_events
     from repro.obs.prof import ProfileConfig
-    from repro.streaming.spec import ProtocolSpec, SessionSpec
+    from repro.streaming.spec import ProtocolSpec
 
     spec = SessionSpec(
         config=ProtocolConfig(

@@ -5,14 +5,14 @@ import pytest
 from repro.core import DCoP, ProtocolConfig, TCoP
 from repro.obs import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
 from repro.sim.engine import Environment
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def run_traced(proto, trace=None, **cfg_kw):
     defaults = dict(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
     defaults.update(cfg_kw)
     config = ProtocolConfig(**defaults)
-    return StreamingSession(config, proto(), trace=trace or TraceConfig()).run()
+    return SessionSpec(config, proto(), trace=trace or TraceConfig()).run()
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_session_records_full_coordination(proto):
 
 def test_untraced_session_has_no_observability_state():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(config, DCoP()).run()
+    result = SessionSpec(config, DCoP()).run()
     assert result.trace is None
     assert result.timeseries is None
 
@@ -196,7 +196,7 @@ def test_tracing_does_not_perturb_the_simulation(proto):
     """The zero-overhead contract's stronger half: identical trajectory."""
     traced = run_traced(proto)
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    bare = StreamingSession(config, proto()).run()
+    bare = SessionSpec(config, proto()).run()
     assert traced.summary() == bare.summary()
     assert traced.activation_times == bare.activation_times
     assert traced.elapsed == bare.elapsed

@@ -1,70 +1,16 @@
-"""Tests for the pluggable scheduler layer: registry, ordering,
-tombstone cancellation, timer pooling, and the hooks facade."""
+"""Tests for the kernel's event queue: ordering, tombstone
+cancellation, timer pooling, and the hooks facade."""
 
 import warnings
 
 import pytest
 
-from repro.sim import (
-    CalendarQueueScheduler,
-    Environment,
-    HeapScheduler,
-    SimHooks,
-    Timer,
-    available_schedulers,
-    build_scheduler,
-    register_scheduler,
-)
-from repro.sim.engine import SCHEDULER_ENV_VAR, _TIMER_POOL_MAX
-from repro.sim.sched import SCHEDULERS, Scheduler
+from repro.sim import Environment, HeapScheduler, SimHooks, Timer
+from repro.sim.engine import _TIMER_POOL_MAX
 
 
 # ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = available_schedulers()
-        assert "heap" in names and "calendar" in names
-        assert names == sorted(names)
-
-    def test_build_by_name(self):
-        assert isinstance(build_scheduler("heap"), HeapScheduler)
-        cal = build_scheduler("calendar", bucket_width=2.5)
-        assert isinstance(cal, CalendarQueueScheduler)
-        assert cal.bucket_width == 2.5
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(KeyError, match="calendar"):
-            build_scheduler("fibheap")
-
-    def test_register_decorator_and_duplicate_rejection(self):
-        @register_scheduler("test-custom")
-        def _factory(**params):
-            return HeapScheduler()
-
-        try:
-            assert "test-custom" in available_schedulers()
-            assert isinstance(build_scheduler("test-custom"), HeapScheduler)
-            with pytest.raises(ValueError, match="already registered"):
-                register_scheduler("test-custom", lambda **p: HeapScheduler())
-        finally:
-            del SCHEDULERS["test-custom"]
-
-    def test_scheduler_base_is_abstract_contract(self):
-        s = Scheduler()
-        with pytest.raises(NotImplementedError):
-            s.push((0.0, 1, 0, None))
-        with pytest.raises(NotImplementedError):
-            s.pop()
-        with pytest.raises(NotImplementedError):
-            s.peek_time()
-        with pytest.raises(NotImplementedError):
-            len(s)
-
-
-# ----------------------------------------------------------------------
-# pop-order equivalence
+# pop order
 # ----------------------------------------------------------------------
 def _drain(sched):
     out = []
@@ -75,8 +21,8 @@ def _drain(sched):
 
 class TestOrdering:
     ENTRIES = [
-        # (time, priority, eid) tuples crafted to cross bucket
-        # boundaries, tie on time, and arrive far out of order
+        # (time, priority, eid) tuples crafted to tie on time and on
+        # priority, and to arrive far out of order
         (25.0, 1, 0),
         (3.0, 1, 1),
         (3.0, 0, 2),
@@ -90,94 +36,47 @@ class TestOrdering:
         (0.0, 0, 10),
     ]
 
-    @pytest.mark.parametrize("width", [0.5, 1.0, 10.0, 1000.0])
-    def test_calendar_matches_heap(self, width):
-        heap, cal = HeapScheduler(), CalendarQueueScheduler(bucket_width=width)
+    def test_pops_in_time_priority_eid_order(self):
+        heap = HeapScheduler()
         for entry in self.ENTRIES:
-            item = entry + (object(),)
-            heap.push(item)
-            cal.push(item)
-        assert _drain(cal) == _drain(heap)
+            heap.push(entry + (None,))
+        assert [e[:3] for e in _drain(heap)] == sorted(self.ENTRIES)
 
     def test_interleaved_push_pop(self):
-        heap, cal = HeapScheduler(), CalendarQueueScheduler(bucket_width=5.0)
+        # each pop returns the least entry pending at that moment
+        heap, pending = HeapScheduler(), []
         for i, entry in enumerate(self.ENTRIES):
-            item = entry + (None,)
-            heap.push(item)
-            cal.push(item)
+            heap.push(entry + (None,))
+            pending.append(entry)
             if i % 3 == 2:
-                assert cal.pop() == heap.pop()
-        assert _drain(cal) == _drain(heap)
+                least = min(pending)
+                pending.remove(least)
+                assert heap.pop()[:3] == least
+        assert [e[:3] for e in _drain(heap)] == sorted(pending)
 
     def test_peek_time(self):
-        for sched in (HeapScheduler(), CalendarQueueScheduler()):
-            assert sched.peek_time() == float("inf")
-            sched.push((7.0, 1, 0, None))
-            sched.push((2.0, 1, 1, None))
-            assert sched.peek_time() == 2.0
-            sched.pop()
-            assert sched.peek_time() == 7.0
+        sched = HeapScheduler()
+        assert sched.peek_time() == float("inf")
+        sched.push((7.0, 1, 0, None))
+        sched.push((2.0, 1, 1, None))
+        assert sched.peek_time() == 2.0
+        sched.pop()
+        assert sched.peek_time() == 7.0
 
     def test_pop_empty_raises_index_error(self):
-        for sched in (HeapScheduler(), CalendarQueueScheduler()):
-            with pytest.raises(IndexError):
-                sched.pop()
-
-    def test_calendar_retires_drained_buckets(self):
-        cal = CalendarQueueScheduler(bucket_width=1.0)
-        for t in range(50):
-            cal.push((float(t), 1, t, None))
-        _drain(cal)
-        assert len(cal) == 0
-        # retirement is lazy: at most the final drained bucket lingers
-        # until the next peek forces the key-heap to advance past it
-        assert len(cal._buckets) <= 1
-        assert cal.peek_time() == float("inf")
-        assert not cal._buckets
-
-    def test_negative_bucket_width_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueueScheduler(bucket_width=0.0)
-
+        with pytest.raises(IndexError):
+            HeapScheduler().pop()
 
 # ----------------------------------------------------------------------
 # environment integration
 # ----------------------------------------------------------------------
 class TestEnvironmentSelection:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV_VAR, raising=False)
-        assert Environment().scheduler.name == "heap"
-
-    def test_by_name(self):
-        assert Environment(scheduler="calendar").scheduler.name == "calendar"
-
-    def test_by_instance(self):
-        cal = CalendarQueueScheduler(bucket_width=3.0)
-        assert Environment(scheduler=cal).scheduler is cal
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        assert Environment().scheduler.name == "calendar"
-        # explicit choice still wins
-        assert Environment(scheduler="heap").scheduler.name == "heap"
-
-    def test_equal_seed_trajectory_across_schedulers(self):
-        def run(scheduler):
-            env = Environment(scheduler=scheduler)
-            log = []
-
-            def ticker(name, period):
-                while env.now < 40:
-                    yield env.timeout(period)
-                    log.append((env.now, name))
-
-            env.process(ticker("a", 1.0))
-            env.process(ticker("b", 2.5))
-            env.call_later(7.25, lambda: log.append((env.now, "timer")))
-            env.run(until=45)
-            return log
-
-        assert run("heap") == run("calendar")
+    def test_default_is_heap(self):
+        env = Environment()
+        assert isinstance(env.scheduler, HeapScheduler)
+        env.call_later(3.0, lambda: None)
+        assert len(env) == len(env.scheduler) == 1
+        assert env.peek() == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +150,7 @@ class TestTimers:
 
 
 # ----------------------------------------------------------------------
-# hooks facade + deprecation shims
+# hooks facade
 # ----------------------------------------------------------------------
 class TestHooks:
     def test_hooks_present_and_empty(self):
@@ -259,24 +158,6 @@ class TestHooks:
         assert isinstance(env.hooks, SimHooks)
         assert env.hooks.tracer is None
         assert env.hooks.profiler is None
-
-    def test_legacy_tracer_property_warns_and_delegates(self):
-        env = Environment()
-        sentinel = object()
-        with pytest.warns(DeprecationWarning, match="env.hooks.tracer"):
-            env.tracer = sentinel
-        assert env.hooks.tracer is sentinel
-        with pytest.warns(DeprecationWarning, match="env.hooks.tracer"):
-            assert env.tracer is sentinel
-
-    def test_legacy_profiler_property_warns_and_delegates(self):
-        env = Environment()
-        sentinel = object()
-        with pytest.warns(DeprecationWarning, match="env.hooks.profiler"):
-            env.profiler = sentinel
-        assert env.hooks.profiler is sentinel
-        with pytest.warns(DeprecationWarning, match="env.hooks.profiler"):
-            assert env.profiler is sentinel
 
     def test_hooks_api_emits_no_warning(self):
         env = Environment()

@@ -13,7 +13,7 @@ from repro.streaming import (
     ChurnPlan,
     DetectorPolicy,
     FaultPlan,
-    StreamingSession,
+    SessionSpec,
 )
 
 
@@ -31,14 +31,14 @@ def build(proto, loss, crashes, churn, seed=13, retransmit=True):
     plan = FaultPlan()
     # crash the peers the leaf contacts first — the worst case, since they
     # carry the biggest shares
-    probe = StreamingSession(cfg, proto())
+    probe = SessionSpec(cfg, proto()).build()
     first = probe.leaf_select(cfg.H)
     for i in range(crashes):
         plan.crash(first[i], 50.0 + 20.0 * i)
-    return StreamingSession(
+    return SessionSpec(
         cfg,
         proto(),
-        control_loss_factory=(lambda: BernoulliLoss(loss)) if loss else None,
+        control_loss=(lambda: BernoulliLoss(loss)) if loss else None,
         fault_plan=plan if crashes else None,
         retransmit_policy=RetransmitPolicy() if retransmit else None,
         detector_policy=DetectorPolicy() if retransmit else None,
@@ -47,7 +47,7 @@ def build(proto, loss, crashes, churn, seed=13, retransmit=True):
             if churn
             else None
         ),
-    )
+    ).build()
 
 
 @pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
@@ -140,7 +140,6 @@ def partition_chaos_spec(protocol, seed=13):
         LinkFaultSpec,
         PartitionPlan,
         ProtocolSpec,
-        SessionSpec,
     )
 
     cfg = config(seed=seed)

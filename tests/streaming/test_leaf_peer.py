@@ -5,7 +5,7 @@ import pytest
 from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination
 from repro.media import DataPacket
 from repro.net.message import Message
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def session_with(protocol_cls=DCoP, **kw):
@@ -14,7 +14,7 @@ def session_with(protocol_cls=DCoP, **kw):
         content_packets=100, seed=2,
     )
     defaults.update(kw)
-    return StreamingSession(ProtocolConfig(**defaults), protocol_cls())
+    return SessionSpec(ProtocolConfig(**defaults), protocol_cls()).build()
 
 
 def test_arrival_bookkeeping():

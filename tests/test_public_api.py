@@ -60,18 +60,6 @@ def test_readme_quickstart_runs():
     assert result.delivery_ratio == 1.0
 
 
-def test_legacy_keyword_construction_still_works_but_warns():
-    """The pre-spec API stays functional behind a DeprecationWarning."""
-    from repro import DCoP, ProtocolConfig, StreamingSession
-
-    config = ProtocolConfig(
-        n=20, H=8, fault_margin=1, content_packets=100
-    )
-    with pytest.warns(DeprecationWarning):
-        result = StreamingSession(config, DCoP()).run()
-    assert result.delivery_ratio == 1.0
-
-
 def test_docstrings_on_public_protocol_classes():
     from repro import core
 

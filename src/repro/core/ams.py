@@ -79,7 +79,7 @@ class AMSCoordination(CoordinationProtocol):
         basis = session.content.packet_sequence()
         interval = parity_interval_for(cfg.n, cfg.fault_margin)
         rate = rate_for(cfg.tau, cfg.n, interval)
-        view = frozenset(session.peer_ids)
+        view = session.views.full
         for i, pid in enumerate(session.peer_ids):
             assignment = Assignment(
                 basis=basis, n_parts=cfg.n, index=i, interval=interval, rate=rate

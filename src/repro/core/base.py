@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.fec import divide, enhance
 from repro.media.sequence import PacketSequence
@@ -100,11 +100,13 @@ class RequestMessage:
 
     ``hops`` counts coordination rounds since the leaf's request (the
     request itself is round 1) — the y-axis of Figures 10/11, measured
-    robustly even under heterogeneous channel latencies.
+    robustly even under heterogeneous channel latencies.  ``view`` is a
+    bitmask over the session's peers (:class:`~repro.core.views.PeerViews`),
+    as in every message that carries one.
     """
 
     leaf_id: str
-    view: FrozenSet[str]
+    view: int
     assignment: Assignment
     hops: int = 1
 
@@ -115,7 +117,7 @@ class ControlMessage:
     TCoP c2/"start")."""
 
     sender: str
-    view: FrozenSet[str]
+    view: int
     assignment: Assignment
     hops: int = 2
 
@@ -125,7 +127,7 @@ class OfferMessage:
     """TCoP c1: "will you be my child?"."""
 
     sender: str
-    view: FrozenSet[str]
+    view: int
     offer_id: int
     hops: int = 1
 
@@ -256,7 +258,7 @@ class CoordinationProtocol(ABC):
         subtree and uses its ``start`` packets instead).
         """
         leaf_id = session.leaf.peer_id
-        view = frozenset(assignments)
+        view = session.views.mask(assignments)
         for pid, assignment in assignments.items():
             session.send_control(
                 leaf_id,

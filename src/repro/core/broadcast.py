@@ -38,7 +38,7 @@ class BroadcastCoordination(CoordinationProtocol):
     def initiate(self, session: "StreamingSession") -> None:
         cfg = session.config
         basis = session.content.packet_sequence()
-        view = frozenset(session.peer_ids)
+        view = session.views.full
         for pid in session.peer_ids:
             assignment = Assignment(
                 basis=basis, n_parts=1, index=0, interval=0, rate=cfg.tau
@@ -70,7 +70,7 @@ class BroadcastCoordination(CoordinationProtocol):
     def _on_state(self, agent: "ContentsPeerAgent", sender: str) -> None:
         heard = agent.scratch.setdefault("heard_from", set())
         heard.add(sender)
-        agent.merge_view([sender])
+        agent.merge_view(agent.session.views.bit[sender])
         n = agent.session.config.n
         if len(heard) == n - 1 and not agent.scratch.get("rescheduled"):
             agent.scratch["rescheduled"] = True

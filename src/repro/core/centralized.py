@@ -52,7 +52,7 @@ class CentralizedCoordination(CoordinationProtocol):
         if message.kind == "request":
             self._on_request(agent)
         elif message.kind == "prepare":
-            agent.merge_view([message.body])
+            agent.merge_view(agent.session.views.bit[message.body])
             agent.send_control(message.body, "ready", agent.peer_id)
         elif message.kind == "ready":
             self._on_ready(agent, message.body)
@@ -65,7 +65,7 @@ class CentralizedCoordination(CoordinationProtocol):
         agent.scratch["is_controller"] = True
         agent.scratch["ready"] = set()
         others = [p for p in agent.session.peer_ids if p != agent.peer_id]
-        agent.merge_view(others)
+        agent.merge_view(agent.session.views.mask(others))
         if not others:
             self._start_all(agent)
             return
@@ -94,7 +94,7 @@ class CentralizedCoordination(CoordinationProtocol):
         n_parts = len(members)
         interval = parity_interval_for(n_parts, cfg.fault_margin)
         rate = rate_for(cfg.tau, n_parts, interval)
-        view = frozenset(members)
+        view = session.views.mask(members)
         if agent.env.hooks.tracer is not None:
             agent.env.hooks.tracer.wave_start(
                 4, agent.peer_id, targets=n_parts, phase="start"

@@ -20,6 +20,7 @@ A peer stops selecting when ``Select`` comes back empty (view covers all
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
@@ -36,12 +37,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
 
+@lru_cache(maxsize=None)
 def empty_assignment(n_parts: int, index: int) -> Assignment:
     """Assignment that activates a peer with nothing to transmit.
 
     Sent when a parent committed to a child but its stream has already run
     dry — the child still synchronizes (counts as active) so coordination
-    metrics remain well-defined on short contents.
+    metrics remain well-defined on short contents.  Assignments are
+    immutable, so one instance per ``(n_parts, index)`` serves every such
+    message (most DCoP control messages at n=400 carry one).
     """
     return Assignment(
         basis=PacketSequence(),
@@ -71,7 +75,7 @@ class DCoP(CoordinationProtocol):
         cfg = session.config
         m = self.initial_count(cfg)
         selected = session.leaf_select(m)
-        view = frozenset(selected) if cfg.request_carries_view else frozenset()
+        view = session.views.mask(selected) if cfg.request_carries_view else 0
         basis = session.content.packet_sequence()
         from repro.core.base import parity_interval_for, rate_for
 
@@ -105,8 +109,7 @@ class DCoP(CoordinationProtocol):
         self._flood(agent, stream, next_hops=req.hops + 1)
 
     def _on_control(self, agent: "ContentsPeerAgent", ctl: ControlMessage) -> None:
-        agent.merge_view(ctl.view)
-        agent.merge_view([ctl.sender])
+        agent.merge_view(ctl.view | agent.session.views.bit[ctl.sender])
         stream = agent.activate_with(ctl.assignment, hops=ctl.hops)
         if not agent.view_full:
             self._flood(agent, stream, next_hops=ctl.hops + 1)
@@ -122,8 +125,8 @@ class DCoP(CoordinationProtocol):
         if tracer is not None:
             tracer.wave_start(next_hops, agent.peer_id, targets=len(children))
         plan = agent.handoff_stream(stream, children)
-        agent.merge_view(children)
-        view = frozenset(agent.view)
+        agent.merge_view(agent.session.views.mask(children))
+        view = agent.view
         n_parts = len(children) + 1
         for i, child in enumerate(children):
             assignment = (

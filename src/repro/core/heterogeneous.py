@@ -91,7 +91,7 @@ class HeterogeneousScheduleCoordination(CoordinationProtocol):
         # at the content timeline, i.e. Σ r_i = τ·|enhanced|/|content|
         aggregate = cfg.tau * len(enhanced) / cfg.content_packets
         total_bw = sum(self.bandwidths)
-        view = frozenset(selected)
+        view = session.views.mask(selected)
         for i, pid in enumerate(selected):
             rate = aggregate * self.bandwidths[i] / total_bw
             assignment = Assignment(
@@ -167,7 +167,7 @@ class HeteroDCoP(DCoP):
         cfg = session.config
         m = self.initial_count(cfg)
         selected = session.leaf_select(m)
-        view = frozenset(selected) if cfg.request_carries_view else frozenset()
+        view = session.views.mask(selected) if cfg.request_carries_view else 0
         interval = parity_interval_for(m, cfg.fault_margin)
         basis = session.content.packet_sequence()
         enhanced = basis if interval == 0 else enhance(basis, interval)
@@ -226,8 +226,8 @@ class HeteroDCoP(DCoP):
                 delta=cfg.delta,
                 own_rate=parent_rate * inflation * weights[0] / total_w,
             )
-        agent.merge_view(children)
-        view = frozenset(agent.view)
+        agent.merge_view(agent.session.views.mask(children))
+        view = agent.view
         for i, child in enumerate(children):
             if plans is None or not len(plans[i]) or parent_rate is None:
                 assignment = empty_assignment(n_parts, i + 1)

@@ -37,7 +37,7 @@ class ScheduleBasedCoordination(CoordinationProtocol):
         basis = session.content.packet_sequence()
         interval = parity_interval_for(cfg.H, cfg.fault_margin)
         rate = rate_for(cfg.tau, cfg.H, interval)
-        view = frozenset(selected)
+        view = session.views.mask(selected)
         for i, pid in enumerate(selected):
             assignment = Assignment(
                 basis=basis, n_parts=cfg.H, index=i, interval=interval, rate=rate

@@ -55,7 +55,9 @@ class SingleSourceStreaming(CoordinationProtocol):
             session.leaf.peer_id,
             server,
             "request",
-            body=RequestMessage(session.leaf.peer_id, frozenset((server,)), assignment),
+            body=RequestMessage(
+                session.leaf.peer_id, session.views.bit[server], assignment
+            ),
             size_bytes=cfg.control_size,
         )
 

@@ -86,7 +86,7 @@ class TCoP(CoordinationProtocol):
                 "event": env.event(),
             }
             state[oid] = pending
-            view = frozenset(selected)
+            view = session.views.mask(selected)
             if env.hooks.tracer is not None:
                 env.hooks.tracer.wave_start(
                     base_hops + 1, leaf_id, targets=m, phase="offer"
@@ -110,7 +110,7 @@ class TCoP(CoordinationProtocol):
         n_parts = len(confirmed)
         interval = parity_interval_for(n_parts, cfg.fault_margin)
         rate = rate_for(cfg.tau, n_parts, interval)
-        view = frozenset(confirmed)
+        view = session.views.mask(confirmed)
         if env.hooks.tracer is not None:
             env.hooks.tracer.wave_start(
                 base_hops + 3, leaf_id, targets=n_parts, phase="start"
@@ -145,12 +145,12 @@ class TCoP(CoordinationProtocol):
                 agent.scratch.setdefault("pending", {}), body
             )
             if body.accept:
-                agent.merge_view([body.sender])
+                agent.merge_view(agent.session.views.bit[body.sender])
 
     def _on_offer(self, agent: "ContentsPeerAgent", offer: OfferMessage) -> None:
         agent.merge_view(offer.view)
         if offer.sender != agent.session.leaf.peer_id:
-            agent.merge_view([offer.sender])
+            agent.merge_view(agent.session.views.bit[offer.sender])
         accept = agent.parent is None and not agent.active
         if accept:
             agent.parent = offer.sender
@@ -214,7 +214,7 @@ class TCoP(CoordinationProtocol):
                         reason="reissue",
                     )
         leaf_id = session.leaf.peer_id
-        view = frozenset(assignments)
+        view = session.views.mask(assignments)
         for pid, assignment in assignments.items():
             session.send_control(
                 leaf_id,
@@ -262,7 +262,7 @@ class TCoP(CoordinationProtocol):
                 "event": env.event(),
             }
             pending_map[oid] = pending
-            view = frozenset(agent.view)
+            view = agent.view
             if env.hooks.tracer is not None:
                 env.hooks.tracer.wave_start(
                     round_cursor + 1, agent.peer_id,
@@ -277,11 +277,11 @@ class TCoP(CoordinationProtocol):
             timeout = env.timeout(cfg.offer_timeout_deltas * cfg.delta)
             yield AnyOf(env, [pending["event"], timeout])
             del pending_map[oid]
-            # everyone who answered is known-taken now (confirmed → mine;
-            # rejected → someone else's child); non-responders after the
-            # timeout are treated as unreachable so we never spin on them
-            agent.merge_view(pending["responded"])
-            agent.merge_view(pending["expected"])
+            # every child offered is known now: those who answered are
+            # taken (confirmed → mine; rejected → someone else's child),
+            # non-responders after the timeout are treated as unreachable
+            # so we never spin on them ("responded" ∪ "expected")
+            agent.merge_view(agent.session.views.mask(children))
             confirmed = pending["confirmed"]
             start_hops = round_cursor + 3
             round_cursor += 3
@@ -289,7 +289,7 @@ class TCoP(CoordinationProtocol):
                 continue
             plan = agent.handoff_stream(stream, confirmed)
             n_parts = len(confirmed) + 1
-            view = frozenset(agent.view)
+            view = agent.view
             for i, child in enumerate(confirmed):
                 assignment = (
                     plan.assignments[i]

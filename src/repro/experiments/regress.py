@@ -400,11 +400,14 @@ def compare_dirs(
     :func:`compare_audit_reports`.  Baseline artifacts with no fresh
     counterpart regress (a vanished bench is a silent coverage loss);
     fresh-only artifacts are informational.  ``gate_scalars`` applies to
-    every bench comparison (keys absent from a bench are simply unused).
+    every bench comparison; a gate key that no baseline bench holds
+    regresses, since that gate would compare nothing.
     """
     base_dir = Path(baseline_dir)
     new_dir = Path(fresh_dir)
     report = RegressReport()
+    #: scalar keys the baseline benches hold (to check every gate bites)
+    baseline_keys: set = set()
     base_files = {p.name: p for p in sorted(base_dir.glob("*.json"))}
     fresh_files = {p.name: p for p in sorted(new_dir.glob("*.json"))}
     if not base_files:
@@ -435,6 +438,8 @@ def compare_dirs(
                 )
             )
         else:
+            for entry in base_payload.get("tests", {}).values():
+                baseline_keys.update(entry.get("scalars", {}))
             report.extend(
                 compare_bench(
                     base_payload,
@@ -445,6 +450,14 @@ def compare_dirs(
                     gate_scalars=gate_scalars,
                 )
             )
+    for key in sorted(set(gate_scalars or {}) - baseline_keys):
+        report.entries.append(
+            Regression(
+                str(base_dir), "gated_scalar",
+                f"gate {key!r} matches no scalar of any baseline bench, "
+                "so it compares nothing",
+            )
+        )
     for name in sorted(set(fresh_files) - set(base_files)):
         report.entries.append(
             Regression(

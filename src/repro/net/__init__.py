@@ -28,7 +28,7 @@ from repro.net.linkfault import (
 )
 from repro.net.dedup import DedupWindow
 from repro.net.capacity import CapacityPolicy, UploadBudget
-from repro.net.channel import Channel, ChannelStats
+from repro.net.channel import Channel
 from repro.net.node import Node
 from repro.net.overlay import Overlay, TrafficStats
 
@@ -36,7 +36,6 @@ __all__ = [
     "BernoulliLoss",
     "CapacityPolicy",
     "Channel",
-    "ChannelStats",
     "CompositeFault",
     "ConstantLatency",
     "DedupWindow",

@@ -525,10 +525,10 @@ class Overlay:
                 )
             return msg
         ch = self.channel(src, dst)
-        before_drop = ch.stats.dropped
-        before_dup = ch.stats.duplicated
+        before_drop = ch.dropped
+        before_dup = ch.duplicated
         ch.send(msg)
-        if ch.stats.dropped > before_drop:
+        if ch.dropped > before_drop:
             self.traffic.dropped_by_kind[kind] += 1
             if tracer is not None:
                 tracer.emit(
@@ -537,7 +537,7 @@ class Overlay:
                 )
         else:
             self.traffic.delivered_by_kind[kind] += 1
-            extra_copies = ch.stats.duplicated - before_dup
+            extra_copies = ch.duplicated - before_dup
             if extra_copies:
                 self.traffic.duplicated_by_kind[kind] += extra_copies
                 if tracer is not None:

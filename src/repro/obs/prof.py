@@ -32,8 +32,10 @@ heap peak, counter-sample positions) are deterministic.
 
 Resource telemetry rides along: peak RSS (``resource.getrusage``, where
 available), optional ``tracemalloc`` peak, allocation counters (events
-scheduled ≈ Event allocations, messages sent ≈ Message allocations), and
-trace-buffer growth.
+scheduled ≈ Event allocations, messages sent ≈ Message allocations),
+trace-buffer growth, and the cyclic garbage collector's pauses during the
+run (``gc_s`` and collections per generation, timed through
+``gc.callbacks``, which the profiler joins only while its window is open).
 
 Enable through the spec::
 
@@ -47,13 +49,14 @@ or on the CLI: ``repro-experiments perf --protocol dcop``.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
-from repro.sim.events import Timer
+from repro.sim.events import fire_timer
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -313,6 +316,14 @@ class ProfileReport:
             f"cancelled {self.cancelled_events}, "
             f"attributed {self.attributed_share:.1%} [{shares}]"
         ]
+        res = self.resources
+        if "gc_s" in res:
+            gens = [res.get(f"gc_collections_gen{g}", 0.0) for g in range(3)]
+            lines.append(
+                f"  gc: {res['gc_s']:.3f}s in {int(sum(gens))} collections "
+                f"(gen0 {int(gens[0])}, gen1 {int(gens[1])}, "
+                f"gen2 {int(gens[2])})"
+            )
         for site in self.sites[:top] if top > 0 else []:
             lines.append(
                 f"  {site['wall_s'] * 1e3:9.3f} ms  {site['calls']:>8} "
@@ -356,6 +367,10 @@ class SimProfiler:
         self._wall = 0.0
         self._started_at: Optional[float] = None
         self._tracemalloc_peak = 0
+        #: cyclic-GC pauses inside the run window (see :meth:`_on_gc`)
+        self._gc_wall = 0.0
+        self._gc_collections = [0, 0, 0]
+        self._gc_started: Optional[float] = None
 
     # ------------------------------------------------------------------
     # run bracketing
@@ -364,6 +379,7 @@ class SimProfiler:
         """Open a run window (sessions bracket ``env.run`` with this)."""
         if self._started_at is None:
             self._started_at = perf_counter()
+            gc.callbacks.append(self._on_gc)
             if self.config.trace_malloc:
                 import tracemalloc
 
@@ -375,6 +391,8 @@ class SimProfiler:
         if self._started_at is not None:
             self._wall += perf_counter() - self._started_at
             self._started_at = None
+            gc.callbacks.remove(self._on_gc)
+            self._gc_started = None
             if self.config.trace_malloc:
                 import tracemalloc
 
@@ -382,6 +400,15 @@ class SimProfiler:
                     _, peak = tracemalloc.get_traced_memory()
                     self._tracemalloc_peak = max(self._tracemalloc_peak, peak)
                     tracemalloc.stop()
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """``gc.callbacks`` hook: time one collection, count its generation."""
+        if phase == "start":
+            self._gc_started = perf_counter()
+        elif self._gc_started is not None:
+            self._gc_wall += perf_counter() - self._gc_started
+            self._gc_started = None
+            self._gc_collections[info["generation"]] += 1
 
     @property
     def wall_s(self) -> float:
@@ -423,7 +450,7 @@ class SimProfiler:
                     dt = perf_counter() - c0
                     nested = self._nested_wall - nested0
                     self.callback_calls += 1
-                    key = self._site_of(callback)
+                    key = self._site_of(callback, event)
                     stat = self._sites.get(key)
                     if stat is None:
                         stat = self._sites[key] = [0, 0.0]
@@ -455,18 +482,20 @@ class SimProfiler:
     # ------------------------------------------------------------------
     # attribution
     # ------------------------------------------------------------------
-    def _site_of(self, callback) -> Tuple[str, str]:
-        """(subsystem, site) for one dispatched callback.
+    def _site_of(self, callback, event=None) -> Tuple[str, str]:
+        """(subsystem, site) for one callback dispatched on ``event``.
 
-        A :class:`~repro.sim.process.Process` resumption is attributed
-        to the *generator it drives* (that is where the time goes), any
-        other bound method or function to its defining module.  Results
-        are cached by code object.
+        A :class:`~repro.sim.events.Timer`'s callback is a trampoline,
+        attributed to the timer's payload ``_fn`` (a channel delivery
+        lands in ``overlay``, not ``engine``); a
+        :class:`~repro.sim.process.Process` resumption to the *generator
+        it drives* (that is where the time goes); any other bound method
+        or function to its defining module.  Results are cached by code
+        object.
         """
+        if callback is fire_timer and event._fn is not None:
+            return self._site_of(event._fn)
         owner = getattr(callback, "__self__", None)
-        if type(owner) is Timer and owner._fn is not None:
-            # the Timer is a trampoline; the time goes to its payload
-            return self._site_of(owner._fn)
         if isinstance(owner, Process):
             code = owner._generator.gi_code
             cached = self._code_site.get(code)
@@ -582,6 +611,11 @@ class SimProfiler:
             "events_scheduled": self.scheduled,
             "heap_peak": self.heap_peak,
             "tombstone_skips": float(self.tombstone_skips),
+            "gc_s": self._gc_wall,
+            **{
+                f"gc_collections_gen{generation}": float(count)
+                for generation, count in enumerate(self._gc_collections)
+            },
         }
         try:
             import resource as _resource

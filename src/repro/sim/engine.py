@@ -5,7 +5,9 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout, Timer
+from repro.sim.events import (
+    AllOf, AnyOf, Event, NORMAL, Timeout, Timer, fire_timer,
+)
 from repro.sim.process import Process
 from repro.sim.sched import HeapScheduler
 
@@ -132,7 +134,7 @@ class Environment:
             timer = pool.pop()
             timer._fn = fn
             timer._args = args
-            timer.callbacks = [timer._fire]
+            timer.callbacks = [fire_timer]
             timer._tombstone = False
             self._schedule(timer, NORMAL, delay)
             return timer

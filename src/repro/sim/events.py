@@ -167,6 +167,9 @@ class Timer(Event):
     instant; the scheduler discards it lazily when popped.  Handles must
     not be cancelled after the fire time — the environment recycles fired
     timers through an object pool.
+
+    Its callback is the module-level :func:`fire_timer`, not a bound
+    method, so a pending timer holds no extra GC-tracked object.
     """
 
     __slots__ = ("_fn", "_args")
@@ -174,7 +177,7 @@ class Timer(Event):
     def __init__(self, env: "Environment", delay: float, fn, args) -> None:
         # Hot path: bypass Event.__init__ and set the slots directly.
         self.env = env
-        self.callbacks = [self._fire]
+        self.callbacks = [fire_timer]
         self._value = None  # pre-triggered (ok, value None)
         self._ok = True
         self._defused = False
@@ -182,11 +185,6 @@ class Timer(Event):
         self._fn = fn
         self._args = args
         env._schedule(self, NORMAL, delay)
-
-    def _fire(self, _event: "Event") -> None:
-        fn = self._fn
-        if fn is not None:
-            fn(*self._args)
 
     def cancel(self) -> None:
         """Tombstone the timer: it will be discarded unprocessed."""
@@ -197,6 +195,13 @@ class Timer(Event):
     def __repr__(self) -> str:
         state = "cancelled" if self._tombstone else "armed"
         return f"<Timer {state} at {id(self):#x}>"
+
+
+def fire_timer(timer: Timer) -> None:
+    """A :class:`Timer`'s callback: run its payload ``fn(*args)``."""
+    fn = timer._fn
+    if fn is not None:
+        fn(*timer._args)
 
 
 class ConditionValue:

@@ -22,7 +22,8 @@ class ContentsPeerAgent:
     All coordination behaviour is delegated to the session's protocol
     strategy; this class owns the mechanics every protocol shares:
 
-    * the *view* ``VW_i`` (peers known to be active/selected);
+    * the *view* ``VW_i`` (peers known to be active/selected), a bitmask
+      over the session's peers (:class:`~repro.core.views.PeerViews`);
     * activation bookkeeping;
     * one transmit loop per :class:`Stream`, pacing packets to the leaf at
       the stream's current rate;
@@ -41,7 +42,7 @@ class ContentsPeerAgent:
             # swarm mode: the physical node belongs to a shared PeerHub,
             # which owns on_deliver and dispatches by coordination ctx
             self.node = node
-        self.view: set[str] = {peer_id}
+        self.view: int = session.views.bit[peer_id]
         self.streams: list[Stream] = []
         self.activated_at: Optional[float] = None
         #: coordination round (hop count) at which this peer activated
@@ -115,12 +116,13 @@ class ContentsPeerAgent:
             return
         self.session.protocol.handle_peer_message(self, message)
 
-    def merge_view(self, other: Sequence[str]) -> None:
-        self.view.update(other)
+    def merge_view(self, other: int) -> None:
+        """``VW_i ∪ other`` for a view bitmask ``other``."""
+        self.view |= other
 
     @property
     def view_full(self) -> bool:
-        return len(self.view) >= self.session.config.n
+        return self.view.bit_count() >= self.session.config.n
 
     # ------------------------------------------------------------------
     # selection (the paper's Select / Aselect)
@@ -133,12 +135,15 @@ class ContentsPeerAgent:
         """
         if m < 0:
             raise ValueError("m must be non-negative")
-        candidates = sorted(set(self.session.peer_ids) - self.view)
+        views = self.session.views
+        # CP − VW_i, ascending bit order = sorted peer ids
+        candidates = views.full & ~self.view
         if not candidates or m == 0:
             return []
-        k = min(m, len(candidates))
-        picked = self.rng.choice(len(candidates), size=k, replace=False)
-        return [candidates[i] for i in sorted(picked)]
+        count = candidates.bit_count()
+        picked = self.rng.choice(count, size=min(m, count), replace=False)
+        members = views.members(candidates)
+        return [members[i] for i in sorted(picked)]
 
     # ------------------------------------------------------------------
     # activation / transmission
@@ -454,5 +459,5 @@ class ContentsPeerAgent:
         return (
             f"<ContentsPeer {self.peer_id} "
             f"{'active' if self.active else 'dormant'} "
-            f"streams={len(self.streams)} |view|={len(self.view)}>"
+            f"streams={len(self.streams)} |view|={self.view.bit_count()}>"
         )

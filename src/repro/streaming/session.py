@@ -20,6 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.spec import SessionSpec
 
 from repro.core.base import ProtocolConfig
+from repro.core.views import PeerViews
 from repro.media.content import MediaContent
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
@@ -358,6 +359,8 @@ class StreamingSession:
             self.peer_ids: List[str] = list(swarm.peer_ids)
         else:
             self.peer_ids = [f"CP{i}" for i in range(1, config.n + 1)]
+        #: bit assignment of the peers' views (bit i = i-th id, sorted)
+        self.views = PeerViews(self.peer_ids)
         #: per-peer uplink capacity in packets/ms (absent = unlimited);
         #: §5's heterogeneous environment — a peer cannot exceed this no
         #: matter what rate its assignments ask for

@@ -90,9 +90,11 @@ def test_views_monotone_and_final():
     session.run()
     # after quiescence every active peer's view is consistent: it contains
     # itself and only existing peers
+    views = session.views
     for agent in session.peers.values():
-        assert agent.peer_id in agent.view
-        assert agent.view <= set(session.peer_ids)
+        assert agent.peer_id in views.members(agent.view)
+        assert set(views.members(agent.view)) <= set(session.peer_ids)
+        assert agent.view & ~views.full == 0
 
 
 def test_redundant_parents_merge_streams():

@@ -164,6 +164,31 @@ def test_compare_dirs_threads_gate_scalars(tmp_path):
     assert report.failures[0].kind == "gated_scalar"
 
 
+def test_gate_matching_no_baseline_scalar_fails(tmp_path):
+    """A gate whose key no baseline bench holds compares nothing: fail."""
+    base, fresh = tmp_path / "base", tmp_path / "fresh"
+    base.mkdir(), fresh.mkdir()
+    payload = json.dumps(bench(scalars={"events_per_wall_s": 1000.0}))
+    (base / "BENCH_demo.json").write_text(payload)
+    (fresh / "BENCH_demo.json").write_text(payload)
+    # the fresh set alone holding the key is not enough either
+    (fresh / "BENCH_swarm.json").write_text(
+        json.dumps(bench(scalars={"swarm_receipt_on_worst": 1.2}))
+    )
+    gates = {"events_per_wall_s": 0.25, "swarm_receipt_on_worst": 0.05}
+    report = compare_dirs(base, fresh, gate_scalars=gates)
+    assert not report.ok
+    (failure,) = report.failures
+    assert failure.kind == "gated_scalar"
+    assert "swarm_receipt_on_worst" in failure.detail
+    assert "compares nothing" in failure.detail
+    # with its baseline committed, the same gate compares and passes
+    (base / "BENCH_swarm.json").write_text(
+        json.dumps(bench(scalars={"swarm_receipt_on_worst": 1.2}))
+    )
+    assert compare_dirs(base, fresh, gate_scalars=gates).ok
+
+
 # ----------------------------------------------------------------------
 # audit comparison
 # ----------------------------------------------------------------------

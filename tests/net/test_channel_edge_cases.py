@@ -95,7 +95,7 @@ def test_loss_ratio_statistic():
     for _ in range(400):
         ov.send("a", "b", "x")
     env.run()
-    st = ov.channel("a", "b").stats
+    st = ov.channel("a", "b")
     assert st.sent == 400
     assert st.loss_ratio == pytest.approx(0.5, abs=0.08)
     assert st.delivered + st.dropped == 400
@@ -105,7 +105,7 @@ def test_empty_channel_stats():
     env, ov = build()
     ov.add_node("a")
     ov.add_node("b")
-    st = ov.channel("a", "b").stats
+    st = ov.channel("a", "b")
     assert st.loss_ratio == 0.0
     assert st.mean_latency == 0.0
 

@@ -210,7 +210,7 @@ def test_bare_channel_sends_and_delivers():
     ch.send(Message("a", "b", "control", body="hi"))
     env.run()
     assert got == [(1.0, "hi")]
-    assert ch.stats.sent == ch.stats.delivered == 1
+    assert ch.sent == ch.delivered == 1
 
 
 def test_control_loss_draws_from_its_named_stream():

@@ -147,7 +147,7 @@ def test_duplicating_channel_delivers_copies_sharing_one_uid():
     assert len(got) == 4  # two sends, two copies each
     assert got[0] == got[1] and got[2] == got[3]
     assert got[0] != got[2]  # distinct sends carry distinct wire uids
-    assert ov.channel("a", "b").stats.duplicated == 2
+    assert ov.channel("a", "b").duplicated == 2
     assert ov.traffic.duplicated_by_kind["control"] == 2
 
 

@@ -101,7 +101,7 @@ def test_channel_stats():
     ov.send("a", "b", "x", size_bytes=100)
     ov.send("a", "b", "x", size_bytes=50)
     env.run()
-    st = ov.channel("a", "b").stats
+    st = ov.channel("a", "b")
     assert st.sent == 2
     assert st.delivered == 2
     assert st.dropped == 0

@@ -6,6 +6,7 @@ profiler only ever *observes* dispatch, so traces, receipt figures, and
 audit verdicts must all agree exactly.
 """
 
+import gc
 import json
 import pickle
 
@@ -49,9 +50,19 @@ def profiled_result():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_profiled_run_is_byte_identical_to_unprofiled(protocol):
     plain = build_spec(protocol, audit=AuditConfig()).run()
-    profiled = build_spec(
-        protocol, audit=AuditConfig(), profile=ProfileConfig()
-    ).run()
+    hooks = list(gc.callbacks)
+    threshold = gc.get_threshold()
+    # collect often, so the profiler's GC hook fires inside the run
+    gc.set_threshold(50, 2, 2)
+    try:
+        profiled = build_spec(
+            protocol, audit=AuditConfig(), profile=ProfileConfig()
+        ).run()
+    finally:
+        gc.set_threshold(*threshold)
+    # the GC hook is installed only while the profiled run lasts
+    assert gc.callbacks == hooks
+    assert profiled.profile.resources["gc_collections_gen0"] > 0
 
     # trajectories: byte-for-byte equal JSONL traces
     assert trace_to_jsonl(plain.trace) == trace_to_jsonl(profiled.trace)
@@ -111,6 +122,52 @@ def test_fig10_style_run_attributes_dispatch_time(profiled_result):
     # shares are a probability-style breakdown of dispatch wall
     total = sum(e["share"] for e in profile.subsystems.values())
     assert total == pytest.approx(1.0, abs=0.02)
+
+
+def test_timer_payloads_are_credited_to_their_site():
+    """A Timer's callback is a shared trampoline; the profiler credits
+    its payload, so a channel delivery lands in ``overlay``."""
+    from repro.net.overlay import Overlay
+    from repro.obs.prof import SimProfiler
+    from repro.sim import Environment
+
+    env = Environment()
+    profiler = SimProfiler()
+    env.hooks.profiler = profiler
+    overlay = Overlay(env)
+    overlay.add_node("a")
+    overlay.add_node("b")
+    overlay.send("a", "b", "control")
+
+    def payload():
+        pass
+
+    env.call_later(1.0, payload)
+    profiler.start()
+    env.run()
+    profiler.stop()
+    sites = {(e["subsystem"], e["site"]) for e in profiler.report().sites}
+    assert ("overlay", "_deliver") in sites
+    assert ("other", payload.__qualname__) in sites
+    assert not any("fire_timer" in site for _sub, site in sites)
+
+
+def test_gc_pauses_are_reported_and_the_hook_removed():
+    from repro.obs.prof import SimProfiler
+
+    profiler = SimProfiler()
+    hooks = list(gc.callbacks)
+    profiler.start()
+    assert len(gc.callbacks) == len(hooks) + 1
+    gc.collect()
+    profiler.stop()
+    assert gc.callbacks == hooks
+    gc.collect()  # outside the window: not counted
+    resources = profiler.report().resources
+    assert resources["gc_collections_gen2"] == 1
+    assert resources["gc_s"] > 0
+    assert resources["gc_s"] <= profiler.wall_s
+    assert "gc:" in profiler.report().summary()
 
 
 def test_sites_are_sorted_and_subsystem_tagged(profiled_result):

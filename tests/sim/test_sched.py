@@ -191,3 +191,59 @@ class TestSlots:
 
         msg = Message(kind="packet", src="a", dst="b", body=None)
         assert not hasattr(msg, "__dict__")
+
+    def test_first_send_on_a_clean_link_adds_one_tracked_object(self):
+        """A clean directed link is one GC-tracked object: the counters
+        live in the channel and a constant latency is kept as a float."""
+        import gc
+
+        from repro.net.latency import ConstantLatency
+        from repro.net.overlay import Overlay
+
+        env = Environment()
+        # per-pair constant latencies, as sessions draw them
+        overlay = Overlay(
+            env, latency_factory=lambda src, dst: ConstantLatency(10.0)
+        )
+        for node_id in ("warm", "a", "b"):
+            overlay.add_node(node_id).on_deliver = lambda message: None
+        # fill the timer pool and the traffic counters' keys first
+        overlay.send("warm", "a", "control")
+        env.run()
+
+        def tracked():
+            # a collection untracks the tuples it finds holding only
+            # atoms, so repeat until the census is stable
+            for _ in range(3):
+                gc.collect()
+            return len(gc.get_objects())
+
+        before = tracked()
+        overlay.send("a", "b", "control")
+        env.run()
+        # was three: Channel, ChannelStats and the pair's ConstantLatency
+        assert tracked() - before <= 1
+        assert ("a", "b") in overlay.channels
+
+    def test_scheduled_channel_delivery_holds_no_bound_method(self):
+        import gc
+        import inspect
+
+        from repro.net.overlay import Overlay
+        from repro.sim.events import fire_timer
+
+        env = Environment()
+        overlay = Overlay(env)
+        overlay.add_node("a")
+        overlay.add_node("b")
+        overlay.send("a", "b", "control")
+        (entry,) = env.scheduler._queue
+        timer = entry[3]
+        assert type(timer) is Timer
+        assert timer.callbacks == [fire_timer]
+        held = [
+            *gc.get_referents(timer), *timer.callbacks, *timer._args
+        ]
+        assert not any(inspect.ismethod(obj) for obj in held)
+        env.run()
+        assert overlay.nodes["b"].mailbox.items
